@@ -344,6 +344,11 @@ void GlobalArray::scatter_acc(double alpha, const std::vector<ElementIndex>& idx
   scatter_impl(/*accumulate=*/true, alpha, idx, values);
 }
 
+double* GlobalArray::staging(std::size_t n) {
+  if (staging_.size() < n) staging_.resize(n);
+  return staging_.data();
+}
+
 double GlobalArray::read_element(std::int64_t i, std::int64_t j) {
   double v = 0.0;
   get(i, i + 1, j, j + 1, &v, 1);

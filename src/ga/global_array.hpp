@@ -133,6 +133,12 @@ class GlobalArray {
   std::pair<std::int64_t, std::int64_t> local_cols() const;
   std::int64_t local_ld() const { return local_cols_n_; }
 
+  /// This rank's staging buffer of at least `n` doubles, for whole-array
+  /// ops that fetch a remote patch into local memory (transpose_into).
+  /// Sized on first use and kept for the array's lifetime: comm-visible
+  /// buffers need stable addresses (DESIGN.md §5).
+  double* staging(std::size_t n);
+
   Comm& comm() { return comm_; }
 
  private:
@@ -149,6 +155,7 @@ class GlobalArray {
   Distribution2D dist_;
   armci::GlobalMem* mem_;
   std::int64_t local_rows_n_, local_cols_n_;
+  std::vector<double> staging_;
 };
 
 /// The NXTVAL shared load-balance counter (hosted at rank `home`).

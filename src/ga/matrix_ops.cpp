@@ -1,7 +1,5 @@
 #include "ga/matrix_ops.hpp"
 
-#include <vector>
-
 #include "ga/collectives.hpp"
 #include "util/error.hpp"
 
@@ -68,13 +66,13 @@ void transpose_into(GlobalArray& src, GlobalArray& dst) {
   const std::int64_t nr = rhi - rlo;
   const std::int64_t nc = chi - clo;
   if (nr > 0 && nc > 0) {
-    std::vector<double> mirror(static_cast<std::size_t>(nr * nc));
+    double* mirror = dst.staging(static_cast<std::size_t>(nr * nc));
     // dst[i][j] = src[j][i]: need src patch [clo,chi) x [rlo,rhi).
-    src.get(clo, chi, rlo, rhi, mirror.data(), nr);
+    src.get(clo, chi, rlo, rhi, mirror, nr);
     double* d = dst.local_data();
     for (std::int64_t i = 0; i < nr; ++i) {
       for (std::int64_t j = 0; j < nc; ++j) {
-        d[i * dst.local_ld() + j] = mirror[static_cast<std::size_t>(j * nr + i)];
+        d[i * dst.local_ld() + j] = mirror[j * nr + i];
       }
     }
     charge_flops(dst.comm(), nr * nc);

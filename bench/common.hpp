@@ -70,13 +70,10 @@ inline armci::WorldConfig make_world_config(const Config& cli, int default_ranks
     if (key.rfind("coll.", 0) == 0) {
       cfg.armci.coll.emplace_back(key.substr(5), cli.get_string(key, ""));
     }
-    // Async-runtime knobs the same way: every "--async.*" key goes to
-    // async::AsyncConfig with the prefix stripped (unknown keys are
-    // rejected there). With async.* unset no runtime behavior changes.
-    if (key.rfind("async.", 0) == 0) {
-      cfg.armci.async.emplace_back(key.substr(6), cli.get_string(key, ""));
-    }
   }
+  // The async runtime has no knobs; a stale --async.* key (e.g. the old
+  // --async.scf_overlap, now ScfConfig::overlap) must not pass silently.
+  cli.reject_unknown("async", {});
   // Observability: --trace.json_path, --trace.max_events, --obs.links,
   // --obs.link_bucket_us, --obs.link_top, --obs.link_csv. All off by
   // default — untraced runs stay byte-identical.

@@ -4,6 +4,7 @@
 // to show exactly where the 30% of Figure 11 comes from.
 //
 //   ./examples/scf_walkthrough [--ranks=64] [--nbf=96] [--block=8]
+//                              [--overlap=1] [--distributed_guess=1]
 #include <cstdio>
 
 #include <cstring>
@@ -39,11 +40,6 @@ apps::ScfResult run_mode(const Config& cli, armci::ProgressMode mode,
     if (key.rfind("coll.", 0) == 0) {
       cfg.armci.coll.emplace_back(key.substr(5), cli.get_string(key, ""));
     }
-    // Async-runtime knobs ride the same way: --async.scf_overlap=1
-    // switches run_scf to the overlapped body (docs/async.md).
-    if (key.rfind("async.", 0) == 0) {
-      cfg.armci.async.emplace_back(key.substr(6), cli.get_string(key, ""));
-    }
   }
   // Fail-stop knobs: with --fault.node_fail=node:at_us scheduled, the
   // run checkpoints and survives the death (docs/faults.md).
@@ -77,6 +73,10 @@ int main(int argc, char** argv) {
   scf.ft_checkpoint_interval =
       ft::RuntimeConfig::from_config(cli).checkpoint_interval;
   scf.distributed_guess = cli.get_bool("distributed_guess", false);
+  // Overlapped reduction tail (docs/async.md). The async runtime has no
+  // knobs, so a stale --async.scf_overlap=1 is rejected, not ignored.
+  scf.overlap = cli.get_bool("overlap", false);
+  cli.reject_unknown("async", {});
 
   std::printf("SCF Fock build (Fig 10): %lld basis functions, %lld-wide blocks,\n"
               "%lld tasks/iteration, %d iterations, ~%.0f us per task\n\n",

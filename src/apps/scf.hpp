@@ -35,10 +35,10 @@ struct ScfConfig {
   /// identical workload.
   double jitter = 0.5;
   std::uint64_t seed = 12345;
-  /// Checkpoint cadence for fail-stop runs (ft::Runtime): the fault-
-  /// tolerant SCF body checkpoints density+Fock every N iterations.
-  /// Ignored (and the FT body never taken) when the fault plan
-  /// schedules no node deaths.
+  /// Checkpoint cadence for fail-stop runs (ft::Runtime): the
+  /// checkpoint policy saves density+Fock every N iterations. Ignored
+  /// when the fault plan schedules no node deaths (there is then no
+  /// health monitor and no checkpoint policy).
   int ft_checkpoint_interval = 1;
   /// McWeeny purification sweeps applied to the (scaled) Fock matrix
   /// after each build: D' = 3D^2 - 2D^3 via distributed dgemm — the
@@ -51,18 +51,20 @@ struct ScfConfig {
   /// how NWChem seeds D from the atomic-density superposition — so the
   /// run also exercises the (strided) rput path. The default keeps
   /// each rank filling its own block locally, leaving the published
-  /// Fig 11 workload untouched. Ignored by the fail-stop body.
+  /// Fig 11 workload untouched. Ignored under fail-stop faults (a
+  /// cold restart refills the density locally).
   bool distributed_guess = false;
-  /// Overlapped iteration tail (async.scf_overlap): the per-iteration
-  /// energy reduction goes through the non-blocking collectives engine
-  /// and is chained past the iteration boundary — it completes in the
-  /// background while the next iteration's task loop runs — and the
-  /// reduction window additionally hides a speculative prefetch of the
-  /// next iteration's first density patches. Physics (Fock checksum,
-  /// final energy) is unchanged; with coll.algo.allreduce=recdbl it is
-  /// bitwise identical to the blocking path. The default keeps the
-  /// published Fig 11 workload byte-identical. Requires
-  /// purification_sweeps == 0; ignored by the fail-stop body.
+  /// Reduction-tail policy of the one iteration loop, and the only
+  /// overlap knob. When set, the per-iteration energy reduction goes
+  /// through the non-blocking collectives engine and is chained past
+  /// the iteration boundary — it completes in the background while the
+  /// next iteration's task loop runs — and the reduction window
+  /// additionally hides a speculative prefetch of the next iteration's
+  /// first density patches. Physics (Fock checksum, final energy) is
+  /// unchanged; with coll.algo.allreduce=recdbl it is bitwise identical
+  /// to the blocking tail. The default keeps the published Fig 11
+  /// workload byte-identical. run_scf rejects it together with
+  /// purification_sweeps > 0 or a fault plan that schedules node deaths.
   bool overlap = false;
 };
 
@@ -83,7 +85,7 @@ struct ScfResult {
   Time reduce_time = 0;
   std::uint64_t tasks_executed = 0;
   std::uint64_t forced_fences = 0;
-  /// Overlap-path speculation accounting (zero on the blocking path):
+  /// Overlapped-tail speculation accounting (zero on the blocking tail):
   /// next-iteration first-task density prefetches that were consumed
   /// vs. discarded.
   std::uint64_t prefetch_hits = 0;

@@ -7,19 +7,6 @@
 
 namespace pgasq::async {
 
-AsyncConfig AsyncConfig::from_options(const armci::Options& opt) {
-  AsyncConfig c;
-  for (const auto& [key, value] : opt.async) {
-    if (key == "scf_overlap") {
-      c.scf_overlap = value != "0";
-    } else {
-      PGASQ_CHECK(false, << "unknown async.* option: async." << key
-                         << " (known: async.scf_overlap)");
-    }
-  }
-  return c;
-}
-
 Runtime& Runtime::of(armci::Comm& comm) {
   std::shared_ptr<void>& slot = comm.async_slot();
   if (!slot) slot = std::make_shared<Runtime>(comm);
@@ -31,7 +18,7 @@ Runtime* Runtime::maybe_of(armci::Comm& comm) {
 }
 
 Runtime::Runtime(armci::Comm& comm)
-    : comm_(comm), config_(AsyncConfig::from_options(comm.options())) {
+    : comm_(comm) {
   timeline_ = comm.world().machine().timeline();
   if (timeline_ != nullptr) {
     pending_series_ =

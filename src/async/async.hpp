@@ -36,19 +36,6 @@ namespace pgasq::async {
 ///   visible at the target.
 enum class Cx { kSource, kOperation, kRemote };
 
-/// Parsed "async.*" configuration (carried opaquely through
-/// armci::Options::async, CLI prefix stripped). Unknown keys are
-/// rejected with the stored key name — a misspelled knob must not be
-/// silently ignored.
-struct AsyncConfig {
-  /// Overlapped SCF: pipeline next-task density prefetch under the
-  /// current task's compute and run the energy reduction as an
-  /// iallreduce chained past the iteration boundary (src/apps/scf).
-  bool scf_overlap = false;
-
-  static AsyncConfig from_options(const armci::Options& opt);
-};
-
 /// A revocable (deferred-injection) get issued through the runtime.
 /// The op is queued locally and injected on the next progress pass;
 /// revoke() before injection cancels it outright — no wire leg is ever
@@ -155,14 +142,12 @@ class Runtime final : public fut::Scheduler {
   std::uint64_t continuations_run() const { return continuations_run_; }
   std::uint64_t gets_revoked() const { return gets_revoked_; }
   std::uint64_t gets_abandoned() const { return gets_abandoned_; }
-  const AsyncConfig& config() const { return config_; }
   armci::Comm& comm() { return comm_; }
 
  private:
   void sample_gauges();
 
   armci::Comm& comm_;
-  AsyncConfig config_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::pair<std::size_t, std::function<void()>>> pollers_;
   std::size_t next_poller_id_ = 1;

@@ -76,11 +76,6 @@ struct Options {
   /// e.g. {"algo.allreduce", "torus-ring"} or {"hw", "0"}. Core
   /// carries them opaquely; coll::CollConfig::from_options parses.
   std::vector<std::pair<std::string, std::string>> coll;
-  /// Raw key/value configuration for the asynchronous completion
-  /// runtime (src/async), the "async." CLI keys with the prefix
-  /// stripped — e.g. {"scf_overlap", "1"}. Core carries them opaquely;
-  /// async::AsyncConfig::from_options parses.
-  std::vector<std::pair<std::string, std::string>> async;
 };
 
 /// Completion state shared between a Handle and in-flight callbacks.

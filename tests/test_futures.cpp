@@ -4,7 +4,7 @@
 // sets), non-blocking collectives matching their blocking counterparts
 // bitwise at awkward (prime) rank counts, fault transparency under
 // loss + corruption, revocable-get cancellation, the
-// abandoned-continuation abort, and async.* option validation.
+// abandoned-continuation abort, and rejection of async.* options.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,8 @@
 #include "core/world.hpp"
 #include "fault/fault.hpp"
 #include "util/error.hpp"
+
+#include "../bench/common.hpp"
 
 namespace pgasq {
 namespace {
@@ -408,18 +410,20 @@ TEST(Fut, AbandonedContinuationAbortsAtFinalize) {
   }
 }
 
-TEST(Fut, MisspelledAsyncOptionIsRejected) {
-  armci::WorldConfig cfg = make_cfg(2);
-  cfg.armci.async.emplace_back("scf_overlp", "1");  // typo
-  try {
-    armci::World world(cfg);
-    world.spmd([](armci::Comm& comm) { async::Runtime::of(comm); });
-    FAIL() << "expected the unknown-option abort";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("async.scf_overlp"), std::string::npos) << what;
-    EXPECT_NE(what.find("scf_overlap"), std::string::npos)
-        << "the error should name the known keys";
+// The runtime has no knobs. The CLI layer rejects every async.* key, so
+// the retired --async.scf_overlap (now ScfConfig::overlap) and any typo
+// of it fail loudly instead of being silently ignored.
+TEST(Fut, StaleAsyncOptionIsRejected) {
+  for (const char* key : {"async.scf_overlap", "async.scf_overlp"}) {
+    Config cli;
+    cli.set(key, "1");
+    try {
+      bench::make_world_config(cli, 2);
+      FAIL() << key << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
   }
 }
 

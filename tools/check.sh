@@ -214,7 +214,7 @@ async_gate() {
   mkdir -p "${out}"
   "${repo}/${dir}/examples/scf_walkthrough" --ranks=8 --nbf=24 --block=8 \
     --task_us=50 --distributed_guess=1 --iterations=3 \
-    --coll.algo.allreduce=recdbl --async.scf_overlap=1 --obs.timeline=1 \
+    --coll.algo.allreduce=recdbl --overlap=1 --obs.timeline=1 \
     "--trace.json_path=${out}/scf_async_trace.json" \
     "--report.json_path=${out}/scf_async_report.json" >/dev/null
   python3 "${repo}/tools/validate_trace.py" --require-nbc \

@@ -59,7 +59,6 @@ StencilResult run_stencil(armci::World& world, const StencilConfig& config) {
     std::vector<double> west(north.size()), east(north.size());
 
     int cur = 0;
-    const armci::CommStats before = comm.stats();
     for (int iter = 0; iter < config.iterations; ++iter) {
       const std::size_t buf_off =
           static_cast<std::size_t>(cur) * static_cast<std::size_t>(n) * row_bytes;
@@ -117,9 +116,6 @@ StencilResult run_stencil(armci::World& world, const StencilConfig& config) {
       t_end = comm.now();
     }
     comm.barrier();
-    const armci::CommStats& after = comm.stats();
-    (void)before;
-    (void)after;
   });
 
   result.wall_time = t_end - t_start;

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "util/config.hpp"
 #include "util/error.hpp"
 
 namespace pgasq::coll {
@@ -57,7 +58,7 @@ CollConfig CollConfig::from_options(const armci::Options& options) {
       PGASQ_CHECK(op >= 0, << "coll." << key << ": unknown collective");
       c.force[op] = parse_algo(value);
     } else if (key == "hw") {
-      c.hw_enabled = value != "0";
+      c.hw_enabled = parse_bool("coll.hw", value);
     } else if (key == "hw_gbps") {
       c.hw_gbps = parse_double(key, value);
     } else if (key == "hw_hop_ns") {

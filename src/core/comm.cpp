@@ -1743,44 +1743,7 @@ void handle_complete_one(HandleState& s) {
 }
 
 void CommStats::merge(const CommStats& o) {
-  puts += o.puts;
-  gets += o.gets;
-  accs += o.accs;
-  rmws += o.rmws;
-  strided_puts += o.strided_puts;
-  strided_gets += o.strided_gets;
-  strided_accs += o.strided_accs;
-  rdma_puts += o.rdma_puts;
-  rdma_gets += o.rdma_gets;
-  fallback_puts += o.fallback_puts;
-  fallback_gets += o.fallback_gets;
-  typed_ops += o.typed_ops;
-  zero_copy_chunks += o.zero_copy_chunks;
-  packed_ops += o.packed_ops;
-  bytes_put += o.bytes_put;
-  bytes_got += o.bytes_got;
-  bytes_acc += o.bytes_acc;
-  gets_revoked += o.gets_revoked;
-  region_cache_hits += o.region_cache_hits;
-  region_cache_misses += o.region_cache_misses;
-  region_queries_sent += o.region_queries_sent;
-  fence_calls += o.fence_calls;
-  forced_fences += o.forced_fences;
-  endpoints_created += o.endpoints_created;
-  retransmits += o.retransmits;
-  retransmit_backoff += o.retransmit_backoff;
-  progress_stalls += o.progress_stalls;
-  progress_stall_time += o.progress_stall_time;
-  time_in_get += o.time_in_get;
-  time_in_put += o.time_in_put;
-  time_in_acc += o.time_in_acc;
-  time_in_rmw += o.time_in_rmw;
-  time_in_fence += o.time_in_fence;
-  time_in_barrier += o.time_in_barrier;
-  time_in_wait += o.time_in_wait;
-  put_sizes.merge(o.put_sizes);
-  get_sizes.merge(o.get_sizes);
-  acc_sizes.merge(o.acc_sizes);
+  obs::merge_fields(*this, o, kCommStatsFields);
   coll.merge(o.coll);
   for (const auto& [label, gc] : o.group_coll) group_coll[label].merge(gc);
 }
@@ -1791,14 +1754,6 @@ std::uint64_t CollStats::total_ops() const {
     for (const std::uint64_t c : per_op) n += c;
   }
   return n;
-}
-
-Time CollStats::total_time() const {
-  Time t = 0;
-  for (const auto& per_op : time) {
-    for (const Time dt : per_op) t += dt;
-  }
-  return t;
 }
 
 Time CollStats::data_time() const {

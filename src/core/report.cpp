@@ -16,19 +16,32 @@
 namespace pgasq::armci {
 
 namespace {
-std::string human_bytes(std::uint64_t b) {
-  char buf[32];
-  if (b >= (1ull << 30)) {
-    std::snprintf(buf, sizeof buf, "%.2f GiB", static_cast<double>(b) / (1ull << 30));
-  } else if (b >= (1ull << 20)) {
-    std::snprintf(buf, sizeof buf, "%.2f MiB", static_cast<double>(b) / (1ull << 20));
-  } else if (b >= (1ull << 10)) {
-    std::snprintf(buf, sizeof buf, "%.2f KiB", static_cast<double>(b) / (1ull << 10));
-  } else {
-    std::snprintf(buf, sizeof buf, "%llu B", static_cast<unsigned long long>(b));
+
+/// One (op, algorithm) row per collective that ran, then the scratch-heap
+/// growth (only the world engine has a scratch heap).
+void render_coll(std::ostream& os, const std::string& title,
+                 const CollStats& c) {
+  if (c.total_ops() == 0) return;
+  os << '\n';
+  Table t({title, "algorithm", "count", "payload", "seconds"});
+  for (int op = 0; op < CollStats::kOps; ++op) {
+    for (int a = 0; a < CollStats::kAlgos; ++a) {
+      if (c.count[op][a] == 0) continue;
+      t.row()
+          .add(std::string(kCollOpNames[op]))
+          .add(std::string(kCollAlgoNames[a]))
+          .add(c.count[op][a])
+          .add(human_bytes(c.bytes[op][a]))
+          .add(to_s(c.time[op][a]), 4);
+    }
   }
-  return buf;
+  if (c.scratch_reallocs > 0) {
+    t.row().add(std::string("(scratch grows)")).add(std::string("-"))
+        .add(c.scratch_reallocs).add(std::string("-")).add(std::string("-"));
+  }
+  os << t.to_string();
 }
+
 }  // namespace
 
 std::string render_report(const World& world, const ReportOptions& options) {
@@ -53,124 +66,44 @@ std::string render_report(const World& world, const ReportOptions& options) {
   os << ops.to_string() << '\n';
 
   Table sync({"synchronization", "value"});
-  sync.row().add(std::string("fence calls")).add(s.fence_calls);
-  sync.row().add(std::string("forced fences (conflicts)")).add(s.forced_fences);
-  sync.row().add(std::string("endpoints created")).add(s.endpoints_created);
+  obs::append_rows(sync, s, kCommStatsFields, 0, obs::kCount);
   sync.row().add(std::string("region cache hits/misses"))
       .add(std::to_string(s.region_cache_hits) + "/" +
            std::to_string(s.region_cache_misses));
-  sync.row().add(std::string("region queries sent")).add(s.region_queries_sent);
   os << sync.to_string() << '\n';
 
   Table times({"blocked in", "seconds (sum over ranks)"});
-  times.row().add(std::string("get")).add(to_s(s.time_in_get), 4);
-  times.row().add(std::string("put")).add(to_s(s.time_in_put), 4);
-  times.row().add(std::string("accumulate")).add(to_s(s.time_in_acc), 4);
-  times.row().add(std::string("rmw (counters)")).add(to_s(s.time_in_rmw), 4);
-  times.row().add(std::string("fence")).add(to_s(s.time_in_fence), 4);
-  times.row().add(std::string("barrier")).add(to_s(s.time_in_barrier), 4);
-  times.row().add(std::string("wait (nb handles)")).add(to_s(s.time_in_wait), 4);
+  obs::append_rows(times, s, kCommStatsFields, 4, obs::kTime);
   os << times.to_string();
 
-  if (s.coll.total_ops() > 0) {
-    os << '\n';
-    Table coll({"collective", "algorithm", "count", "payload", "seconds"});
-    for (int op = 0; op < CollStats::kOps; ++op) {
-      for (int a = 0; a < CollStats::kAlgos; ++a) {
-        if (s.coll.count[op][a] == 0) continue;
-        coll.row()
-            .add(std::string(kCollOpNames[op]))
-            .add(std::string(kCollAlgoNames[a]))
-            .add(s.coll.count[op][a])
-            .add(human_bytes(s.coll.bytes[op][a]))
-            .add(to_s(s.coll.time[op][a]), 4);
-      }
-    }
-    if (s.coll.scratch_reallocs > 0) {
-      coll.row().add(std::string("(scratch grows)")).add(std::string("-"))
-          .add(s.coll.scratch_reallocs).add(std::string("-")).add(std::string("-"));
-    }
-    os << coll.to_string();
-  }
-
+  render_coll(os, "collective", s.coll);
   for (const auto& [label, gc] : s.group_coll) {
-    if (gc.total_ops() == 0) continue;
-    os << '\n';
-    Table gt({"group '" + label + "'", "algorithm", "count", "payload", "seconds"});
-    for (int op = 0; op < CollStats::kOps; ++op) {
-      for (int a = 0; a < CollStats::kAlgos; ++a) {
-        if (gc.count[op][a] == 0) continue;
-        gt.row()
-            .add(std::string(kCollOpNames[op]))
-            .add(std::string(kCollAlgoNames[a]))
-            .add(gc.count[op][a])
-            .add(human_bytes(gc.bytes[op][a]))
-            .add(to_s(gc.time[op][a]), 4);
-      }
-    }
-    os << gt.to_string();
+    render_coll(os, "group '" + label + "'", gc);
   }
 
   if (const fault::Injector* inj = world.machine().injector()) {
-    const fault::FaultStats& f = inj->stats();
     os << '\n';
     Table faults({"fault injection & recovery", "value"});
-    faults.row().add(std::string("packets dropped")).add(f.packets_dropped);
-    faults.row().add(std::string("packets corrupted (flips injected)"))
-        .add(f.packets_corrupted);
+    obs::append_rows(faults, inj->stats(), fault::kFaultStatsFields, 4);
     faults.row().add(std::string("retransmits")).add(s.retransmits);
     faults.row().add(std::string("backoff seconds (sum over ranks)"))
         .add(to_s(s.retransmit_backoff), 4);
-    faults.row().add(std::string("reroutes around failed links")).add(f.reroutes);
-    faults.row().add(std::string("rerouted extra hops")).add(f.rerouted_extra_hops);
-    faults.row().add(std::string("degraded-link transfers")).add(f.degraded_transfers);
-    faults.row().add(std::string("progress stalls ridden out")).add(f.progress_stalls);
-    faults.row().add(std::string("stall seconds")).add(to_s(f.stall_time), 4);
     faults.row().add(std::string("ranks per node (blast radius)"))
         .add(world.machine().mapping().ranks_per_node());
     os << faults.to_string();
   }
 
   if (const fault::Integrity* ig = world.machine().integrity()) {
-    const fault::IntegrityStats& is = ig->stats();
     os << '\n';
     Table integ({"end-to-end integrity", "value"});
-    integ.row().add(std::string("transport CRC checks")).add(is.crc_checks);
-    integ.row().add(std::string("corruptions detected")).add(is.corruptions_detected);
-    integ.row().add(std::string("NACKs sent")).add(is.nacks_sent);
-    integ.row().add(std::string("NACK retransmits")).add(is.nack_retransmits);
-    integ.row().add(std::string("echo-CRC acks")).add(is.echo_crc_acks);
-    integ.row().add(std::string("collective slot checks")).add(is.coll_slot_checks);
-    integ.row().add(std::string("collective slot rejects")).add(is.coll_slot_rejects);
-    integ.row().add(std::string("collective slot re-fetches"))
-        .add(is.coll_slot_refetches);
-    integ.row().add(std::string("checkpoint digests computed"))
-        .add(is.ckpt_digests_computed);
-    integ.row().add(std::string("checkpoint digests validated"))
-        .add(is.ckpt_digests_validated);
-    integ.row().add(std::string("checkpoint digest mismatches"))
-        .add(is.ckpt_digest_mismatches);
-    integ.row().add(std::string("checkpoint fallback restores"))
-        .add(is.ckpt_fallback_restores);
+    obs::append_rows(integ, ig->stats(), fault::kIntegrityStatsFields, 0);
     os << integ.to_string();
   }
 
   if (const ft::HealthMonitor* mon = world.machine().monitor()) {
-    const ft::FtStats& f = mon->stats();
     os << '\n';
     Table ft({"fail-stop recovery", "value"});
-    ft.row().add(std::string("node deaths declared")).add(f.detections);
-    ft.row().add(std::string("detection delay seconds (sum)"))
-        .add(to_s(f.detection_delay), 6);
-    ft.row().add(std::string("ranks lost")).add(f.ranks_lost);
-    ft.row().add(std::string("ops quarantined (dead peers)")).add(f.quarantined_ops);
-    ft.row().add(std::string("checkpoints committed")).add(f.checkpoints);
-    ft.row().add(std::string("checkpoint bytes to buddies"))
-        .add(human_bytes(f.checkpoint_bytes));
-    ft.row().add(std::string("rollbacks")).add(f.rollbacks);
-    ft.row().add(std::string("survivor ranks rolled back (sum)"))
-        .add(f.rollback_ranks);
-    ft.row().add(std::string("recovery seconds")).add(to_s(f.recovery_time), 6);
+    obs::append_rows(ft, mon->stats(), ft::kFtStatsFields, 6);
     os << ft.to_string();
   }
 
@@ -180,22 +113,11 @@ std::string render_report(const World& world, const ReportOptions& options) {
     Table fl({"overload control (flow)", "value"});
     fl.row().add(std::string("credit window (per src,dst)"))
         .add(fc->config().credits);
-    fl.row().add(std::string("credit stalls")).add(f.credit_stalls);
-    fl.row().add(std::string("credit stall seconds (sum)"))
-        .add(to_s(f.credit_stall_time), 6);
+    obs::append_rows(fl, f, flow::kFlowStatsFields, 6);
     fl.row().add(std::string("queue depth p50 / p99 / max"))
         .add(std::to_string(f.queue_depth.quantile(0.5)) + " / " +
              std::to_string(f.queue_depth.quantile(0.99)) + " / " +
              std::to_string(f.queue_depth.max()));
-    fl.row().add(std::string("requests shed at server (expired)"))
-        .add(f.expired_server);
-    fl.row().add(std::string("requests expired at client")).add(f.expired_client);
-    fl.row().add(std::string("shed by admission (low prio)"))
-        .add(f.shed_low_prio);
-    fl.row().add(std::string("shed by admission (high prio)"))
-        .add(f.shed_high_prio);
-    fl.row().add(std::string("retry budgets exhausted"))
-        .add(f.retry_budget_exhausted);
     os << fl.to_string();
   }
 

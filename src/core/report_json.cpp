@@ -12,162 +12,71 @@ namespace pgasq::armci {
 
 namespace {
 
-double us(Time t) { return to_us(t); }
-
-void fill_comm(obs::Registry& reg, const CommStats& s) {
-  reg.set_counter("armci.puts", s.puts);
-  reg.set_counter("armci.gets", s.gets);
-  reg.set_counter("armci.accs", s.accs);
-  reg.set_counter("armci.rmws", s.rmws);
-  reg.set_counter("armci.strided_puts", s.strided_puts);
-  reg.set_counter("armci.strided_gets", s.strided_gets);
-  reg.set_counter("armci.strided_accs", s.strided_accs);
-  reg.set_counter("armci.rdma_puts", s.rdma_puts);
-  reg.set_counter("armci.rdma_gets", s.rdma_gets);
-  reg.set_counter("armci.fallback_puts", s.fallback_puts);
-  reg.set_counter("armci.fallback_gets", s.fallback_gets);
-  reg.set_counter("armci.typed_ops", s.typed_ops);
-  reg.set_counter("armci.zero_copy_chunks", s.zero_copy_chunks);
-  reg.set_counter("armci.packed_ops", s.packed_ops);
-  reg.set_counter("armci.bytes_put", s.bytes_put);
-  reg.set_counter("armci.bytes_got", s.bytes_got);
-  reg.set_counter("armci.bytes_acc", s.bytes_acc);
-  reg.set_counter("armci.region_cache_hits", s.region_cache_hits);
-  reg.set_counter("armci.region_cache_misses", s.region_cache_misses);
-  reg.set_counter("armci.region_queries_sent", s.region_queries_sent);
-  reg.set_counter("armci.fence_calls", s.fence_calls);
-  reg.set_counter("armci.forced_fences", s.forced_fences);
-  reg.set_counter("armci.endpoints_created", s.endpoints_created);
-  reg.set_counter("armci.retransmits", s.retransmits);
-  reg.set_gauge("armci.retransmit_backoff_us", us(s.retransmit_backoff));
-  reg.set_counter("armci.progress_stalls", s.progress_stalls);
-  reg.set_gauge("armci.progress_stall_us", us(s.progress_stall_time));
-  reg.set_gauge("armci.time_in_get_us", us(s.time_in_get));
-  reg.set_gauge("armci.time_in_put_us", us(s.time_in_put));
-  reg.set_gauge("armci.time_in_acc_us", us(s.time_in_acc));
-  reg.set_gauge("armci.time_in_rmw_us", us(s.time_in_rmw));
-  reg.set_gauge("armci.time_in_fence_us", us(s.time_in_fence));
-  reg.set_gauge("armci.time_in_barrier_us", us(s.time_in_barrier));
-  reg.set_gauge("armci.time_in_wait_us", us(s.time_in_wait));
-  reg.set_histogram("armci.put_sizes", s.put_sizes);
-  reg.set_histogram("armci.get_sizes", s.get_sizes);
-  reg.set_histogram("armci.acc_sizes", s.acc_sizes);
+/// A histogram's nanosecond value as a microsecond JSON number.
+obs::Json us(std::uint64_t ns) {
+  return obs::Json::number(to_us(static_cast<Time>(ns)));
 }
 
-void fill_coll(obs::Registry& reg, const CollStats& c) {
-  if (c.total_ops() == 0) return;
-  for (int op = 0; op < CollStats::kOps; ++op) {
-    for (int a = 0; a < CollStats::kAlgos; ++a) {
-      if (c.count[op][a] == 0) continue;
-      const obs::Labels labels{{"op", kCollOpNames[op]},
-                               {"algo", kCollAlgoNames[a]}};
-      reg.set_counter("coll.ops", c.count[op][a], labels);
-      reg.set_counter("coll.bytes", c.bytes[op][a], labels);
-      reg.set_gauge("coll.time_us", us(c.time[op][a]), labels);
+/// The world engine's per-(op, algo) table as coll.*, then every
+/// process group's as grp.coll.* under a "group" label.
+void fill_coll(obs::Registry& reg, const CommStats& s) {
+  auto fill = [&](const std::string& prefix, const obs::Labels& base,
+                  const CollStats& c) {
+    for (int op = 0; op < CollStats::kOps; ++op) {
+      for (int a = 0; a < CollStats::kAlgos; ++a) {
+        if (c.count[op][a] == 0) continue;
+        obs::Labels labels = base;
+        labels.emplace_back("op", kCollOpNames[op]);
+        labels.emplace_back("algo", kCollAlgoNames[a]);
+        reg.set_counter(prefix + "ops", c.count[op][a], labels);
+        reg.set_counter(prefix + "bytes", c.bytes[op][a], labels);
+        reg.set_gauge(prefix + "time_us", to_us(c.time[op][a]), labels);
+      }
     }
+  };
+  fill("coll.", {}, s.coll);
+  if (s.coll.total_ops() > 0) {
+    reg.set_counter("coll.scratch_reallocs", s.coll.scratch_reallocs);
   }
-  reg.set_counter("coll.scratch_reallocs", c.scratch_reallocs);
-}
-
-/// Process-group collectives (src/grp), one label set per group.
-void fill_group_coll(obs::Registry& reg, const std::string& group,
-                     const CollStats& c) {
-  if (c.total_ops() == 0) return;
-  for (int op = 0; op < CollStats::kOps; ++op) {
-    for (int a = 0; a < CollStats::kAlgos; ++a) {
-      if (c.count[op][a] == 0) continue;
-      const obs::Labels labels{{"group", group},
-                               {"op", kCollOpNames[op]},
-                               {"algo", kCollAlgoNames[a]}};
-      reg.set_counter("grp.coll.ops", c.count[op][a], labels);
-      reg.set_counter("grp.coll.bytes", c.bytes[op][a], labels);
-      reg.set_gauge("grp.coll.time_us", us(c.time[op][a]), labels);
-    }
+  for (const auto& [group, gc] : s.group_coll) {
+    fill("grp.coll.", {{"group", group}}, gc);
   }
-}
-
-void fill_fault(obs::Registry& reg, const fault::FaultStats& f) {
-  reg.set_counter("fault.packets_dropped", f.packets_dropped);
-  reg.set_counter("fault.packets_corrupted", f.packets_corrupted);
-  reg.set_counter("fault.retransmits", f.retransmits);
-  reg.set_gauge("fault.backoff_us", us(f.backoff_time));
-  reg.set_counter("fault.reroutes", f.reroutes);
-  reg.set_counter("fault.rerouted_extra_hops", f.rerouted_extra_hops);
-  reg.set_counter("fault.degraded_transfers", f.degraded_transfers);
-  reg.set_counter("fault.progress_stalls", f.progress_stalls);
-  reg.set_gauge("fault.stall_us", us(f.stall_time));
-}
-
-/// End-to-end integrity metrics. flips_injected mirrors the injector's
-/// corruption count so the detected == injected invariant is checkable
-/// from the integrity.* namespace alone (chaos_soak.py relies on it).
-void fill_integrity(obs::Registry& reg, const fault::IntegrityStats& is,
-                    std::uint64_t flips_injected) {
-  reg.set_counter("integrity.flips_injected", flips_injected);
-  reg.set_counter("integrity.flips_detected", is.corruptions_detected);
-  reg.set_counter("integrity.crc_checks", is.crc_checks);
-  reg.set_counter("integrity.nacks_sent", is.nacks_sent);
-  reg.set_counter("integrity.nack_retransmits", is.nack_retransmits);
-  reg.set_counter("integrity.echo_crc_acks", is.echo_crc_acks);
-  reg.set_counter("integrity.coll_slot_checks", is.coll_slot_checks);
-  reg.set_counter("integrity.coll_slot_rejects", is.coll_slot_rejects);
-  reg.set_counter("integrity.coll_slot_refetches", is.coll_slot_refetches);
-  reg.set_counter("integrity.ckpt_digests_computed", is.ckpt_digests_computed);
-  reg.set_counter("integrity.ckpt_digests_validated", is.ckpt_digests_validated);
-  reg.set_counter("integrity.ckpt_digest_mismatches", is.ckpt_digest_mismatches);
-  reg.set_counter("integrity.ckpt_fallback_restores", is.ckpt_fallback_restores);
-}
-
-void fill_flow(obs::Registry& reg, const flow::Controller& fc) {
-  const flow::FlowStats& f = fc.stats();
-  reg.set_counter("flow.credits", static_cast<std::uint64_t>(
-                                      std::max(fc.config().credits, 0)));
-  reg.set_counter("flow.credit_stalls", f.credit_stalls);
-  reg.set_gauge("flow.credit_stall_us", us(f.credit_stall_time));
-  reg.set_counter("flow.expired_server", f.expired_server);
-  reg.set_counter("flow.expired_client", f.expired_client);
-  reg.set_counter("flow.shed_low_prio", f.shed_low_prio);
-  reg.set_counter("flow.shed_high_prio", f.shed_high_prio);
-  reg.set_counter("flow.retry_budget_exhausted", f.retry_budget_exhausted);
-  if (f.queue_depth.total() > 0) {
-    reg.set_histogram("flow.queue_depth", f.queue_depth);
-  }
-}
-
-void fill_ft(obs::Registry& reg, const ft::FtStats& f) {
-  reg.set_counter("ft.detections", f.detections);
-  reg.set_gauge("ft.detection_delay_us", us(f.detection_delay));
-  reg.set_counter("ft.ranks_lost", f.ranks_lost);
-  reg.set_counter("ft.quarantined_ops", f.quarantined_ops);
-  reg.set_counter("ft.checkpoints", f.checkpoints);
-  reg.set_counter("ft.checkpoint_bytes", f.checkpoint_bytes);
-  reg.set_counter("ft.rollbacks", f.rollbacks);
-  reg.set_counter("ft.rollback_ranks", f.rollback_ranks);
-  reg.set_gauge("ft.recovery_us", us(f.recovery_time));
 }
 
 }  // namespace
 
 obs::Registry build_registry(const World& world) {
   obs::Registry reg;
-  fill_comm(reg, world.total_stats());
-  fill_coll(reg, world.total_stats().coll);
-  for (const auto& [label, gc] : world.total_stats().group_coll) {
-    fill_group_coll(reg, label, gc);
-  }
+  const CommStats s = world.total_stats();
+  obs::export_fields(reg, s, kCommStatsFields);
+  fill_coll(reg, s);
 
   const pami::Machine& m = world.machine();
   reg.set_counter("noc.messages_sent", m.network().messages_sent());
   reg.set_counter("noc.bytes_sent", m.network().bytes_sent());
 
-  if (const fault::Injector* inj = m.injector()) fill_fault(reg, inj->stats());
-  if (const fault::Integrity* ig = m.integrity()) {
-    const fault::Injector* inj = m.injector();
-    fill_integrity(reg, ig->stats(),
-                   inj != nullptr ? inj->stats().packets_corrupted : 0);
+  const fault::Injector* inj = m.injector();
+  if (inj != nullptr) {
+    obs::export_fields(reg, inj->stats(), fault::kFaultStatsFields);
   }
-  if (const ft::HealthMonitor* mon = m.monitor()) fill_ft(reg, mon->stats());
-  if (const flow::Controller* fc = m.flow()) fill_flow(reg, *fc);
+  if (const fault::Integrity* ig = m.integrity()) {
+    // The injector's corruption count, so the detected == injected
+    // invariant is checkable from integrity.* alone (chaos_soak.py).
+    reg.set_counter("integrity.flips_injected",
+                    inj != nullptr ? inj->stats().packets_corrupted : 0);
+    obs::export_fields(reg, ig->stats(), fault::kIntegrityStatsFields);
+  }
+  if (const ft::HealthMonitor* mon = m.monitor()) {
+    obs::export_fields(reg, mon->stats(), ft::kFtStatsFields);
+  }
+  if (const flow::Controller* fc = m.flow()) {
+    reg.set_counter("flow.credits", static_cast<std::uint64_t>(
+                                        std::max(fc->config().credits, 0)));
+    obs::export_fields(reg, fc->stats(), flow::kFlowStatsFields);
+    if (fc->stats().queue_depth.total() > 0) {
+      reg.set_histogram("flow.queue_depth", fc->stats().queue_depth);
+    }
+  }
 
   if (const obs::LinkUsage* lu = m.link_usage()) {
     reg.set_counter("obs.link_transfers", lu->transfers());
@@ -239,14 +148,11 @@ obs::Json render_json_report(const World& world) {
           continue;
         }
         const util::Histogram& h = *row.latency;
-        o.set("min_us", obs::Json::number(us(static_cast<Time>(h.min()))));
-        o.set("p50_us",
-              obs::Json::number(us(static_cast<Time>(h.quantile(0.5)))));
-        o.set("p99_us",
-              obs::Json::number(us(static_cast<Time>(h.quantile(0.99)))));
-        o.set("p999_us",
-              obs::Json::number(us(static_cast<Time>(h.quantile(0.999)))));
-        o.set("max_us", obs::Json::number(us(static_cast<Time>(h.max()))));
+        o.set("min_us", us(h.min()));
+        o.set("p50_us", us(h.quantile(0.5)));
+        o.set("p99_us", us(h.quantile(0.99)));
+        o.set("p999_us", us(h.quantile(0.999)));
+        o.set("max_us", us(h.max()));
         aggs.push(std::move(o));
       }
       trace.set("aggregates", std::move(aggs));

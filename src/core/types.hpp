@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/fields.hpp"
 #include "pami/types.hpp"
 #include "util/stats.hpp"
 #include "util/time_types.hpp"
@@ -144,7 +145,6 @@ struct CollStats {
   std::uint64_t scratch_reallocs = 0;
 
   std::uint64_t total_ops() const;
-  Time total_time() const;
   /// Time in data-moving collectives only (total minus the barrier
   /// row, whose cost is mostly arrival wait, i.e. load imbalance).
   Time data_time() const;
@@ -199,6 +199,55 @@ struct CommStats {
   Log2Histogram put_sizes, get_sizes, acc_sizes;
 
   void merge(const CommStats& o);
+};
+
+/// CommStats' metrics. Labelled counts fill the report's synchronization
+/// table, labelled times its blocked-in table.
+inline constexpr obs::Field<CommStats> kCommStatsFields[] = {
+    {"armci.puts", obs::kCount, &CommStats::puts},
+    {"armci.gets", obs::kCount, &CommStats::gets},
+    {"armci.accs", obs::kCount, &CommStats::accs},
+    {"armci.rmws", obs::kCount, &CommStats::rmws},
+    {"armci.strided_puts", obs::kCount, &CommStats::strided_puts},
+    {"armci.strided_gets", obs::kCount, &CommStats::strided_gets},
+    {"armci.strided_accs", obs::kCount, &CommStats::strided_accs},
+    {"armci.rdma_puts", obs::kCount, &CommStats::rdma_puts},
+    {"armci.rdma_gets", obs::kCount, &CommStats::rdma_gets},
+    {"armci.fallback_puts", obs::kCount, &CommStats::fallback_puts},
+    {"armci.fallback_gets", obs::kCount, &CommStats::fallback_gets},
+    {"armci.typed_ops", obs::kCount, &CommStats::typed_ops},
+    {"armci.zero_copy_chunks", obs::kCount, &CommStats::zero_copy_chunks},
+    {"armci.packed_ops", obs::kCount, &CommStats::packed_ops},
+    {"armci.bytes_put", obs::kBytes, &CommStats::bytes_put},
+    {"armci.bytes_got", obs::kBytes, &CommStats::bytes_got},
+    {"armci.bytes_acc", obs::kBytes, &CommStats::bytes_acc},
+    {"armci.gets_revoked", obs::kCount, &CommStats::gets_revoked},
+    {"armci.region_cache_hits", obs::kCount, &CommStats::region_cache_hits},
+    {"armci.region_cache_misses", obs::kCount, &CommStats::region_cache_misses},
+    {"armci.region_queries_sent", obs::kCount, &CommStats::region_queries_sent,
+     "region queries sent"},
+    {"armci.fence_calls", obs::kCount, &CommStats::fence_calls, "fence calls"},
+    {"armci.forced_fences", obs::kCount, &CommStats::forced_fences,
+     "forced fences (conflicts)"},
+    {"armci.endpoints_created", obs::kCount, &CommStats::endpoints_created,
+     "endpoints created"},
+    {"armci.retransmits", obs::kCount, &CommStats::retransmits},
+    {"armci.retransmit_backoff_us", obs::kTime, &CommStats::retransmit_backoff},
+    {"armci.progress_stalls", obs::kCount, &CommStats::progress_stalls},
+    {"armci.progress_stall_us", obs::kTime, &CommStats::progress_stall_time},
+    {"armci.time_in_get_us", obs::kTime, &CommStats::time_in_get, "get"},
+    {"armci.time_in_put_us", obs::kTime, &CommStats::time_in_put, "put"},
+    {"armci.time_in_acc_us", obs::kTime, &CommStats::time_in_acc, "accumulate"},
+    {"armci.time_in_rmw_us", obs::kTime, &CommStats::time_in_rmw,
+     "rmw (counters)"},
+    {"armci.time_in_fence_us", obs::kTime, &CommStats::time_in_fence, "fence"},
+    {"armci.time_in_barrier_us", obs::kTime, &CommStats::time_in_barrier,
+     "barrier"},
+    {"armci.time_in_wait_us", obs::kTime, &CommStats::time_in_wait,
+     "wait (nb handles)"},
+    {"armci.put_sizes", obs::kHistogram, &CommStats::put_sizes},
+    {"armci.get_sizes", obs::kHistogram, &CommStats::get_sizes},
+    {"armci.acc_sizes", obs::kHistogram, &CommStats::acc_sizes},
 };
 
 }  // namespace pgasq::armci

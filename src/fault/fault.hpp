@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/fields.hpp"
 #include "topo/torus.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -203,6 +204,25 @@ struct FaultStats {
   std::uint64_t degraded_transfers = 0;
   std::uint64_t progress_stalls = 0;
   Time stall_time = 0;
+};
+
+/// FaultStats' metrics. The report's retransmit rows read CommStats.
+inline constexpr obs::Field<FaultStats> kFaultStatsFields[] = {
+    {"fault.packets_dropped", obs::kCount, &FaultStats::packets_dropped,
+     "packets dropped"},
+    {"fault.packets_corrupted", obs::kCount, &FaultStats::packets_corrupted,
+     "packets corrupted (flips injected)"},
+    {"fault.retransmits", obs::kCount, &FaultStats::retransmits},
+    {"fault.backoff_us", obs::kTime, &FaultStats::backoff_time},
+    {"fault.reroutes", obs::kCount, &FaultStats::reroutes,
+     "reroutes around failed links"},
+    {"fault.rerouted_extra_hops", obs::kCount, &FaultStats::rerouted_extra_hops,
+     "rerouted extra hops"},
+    {"fault.degraded_transfers", obs::kCount, &FaultStats::degraded_transfers,
+     "degraded-link transfers"},
+    {"fault.progress_stalls", obs::kCount, &FaultStats::progress_stalls,
+     "progress stalls ridden out"},
+    {"fault.stall_us", obs::kTime, &FaultStats::stall_time, "stall seconds"},
 };
 
 /// Outcome of one packet's trip through the fabric.

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 
+#include "obs/fields.hpp"
 #include "util/time_types.hpp"
 
 namespace pgasq {
@@ -90,6 +91,34 @@ struct IntegrityStats {
   std::uint64_t ckpt_digests_validated = 0;
   std::uint64_t ckpt_digest_mismatches = 0;
   std::uint64_t ckpt_fallback_restores = 0;
+};
+
+/// IntegrityStats' metrics (integrity.flips_injected is the injector's).
+inline constexpr obs::Field<IntegrityStats> kIntegrityStatsFields[] = {
+    {"integrity.flips_detected", obs::kCount,
+     &IntegrityStats::corruptions_detected, "corruptions detected"},
+    {"integrity.crc_checks", obs::kCount, &IntegrityStats::crc_checks,
+     "transport CRC checks"},
+    {"integrity.nacks_sent", obs::kCount, &IntegrityStats::nacks_sent,
+     "NACKs sent"},
+    {"integrity.nack_retransmits", obs::kCount,
+     &IntegrityStats::nack_retransmits, "NACK retransmits"},
+    {"integrity.echo_crc_acks", obs::kCount, &IntegrityStats::echo_crc_acks,
+     "echo-CRC acks"},
+    {"integrity.coll_slot_checks", obs::kCount,
+     &IntegrityStats::coll_slot_checks, "collective slot checks"},
+    {"integrity.coll_slot_rejects", obs::kCount,
+     &IntegrityStats::coll_slot_rejects, "collective slot rejects"},
+    {"integrity.coll_slot_refetches", obs::kCount,
+     &IntegrityStats::coll_slot_refetches, "collective slot re-fetches"},
+    {"integrity.ckpt_digests_computed", obs::kCount,
+     &IntegrityStats::ckpt_digests_computed, "checkpoint digests computed"},
+    {"integrity.ckpt_digests_validated", obs::kCount,
+     &IntegrityStats::ckpt_digests_validated, "checkpoint digests validated"},
+    {"integrity.ckpt_digest_mismatches", obs::kCount,
+     &IntegrityStats::ckpt_digest_mismatches, "checkpoint digest mismatches"},
+    {"integrity.ckpt_fallback_restores", obs::kCount,
+     &IntegrityStats::ckpt_fallback_restores, "checkpoint fallback restores"},
 };
 
 /// Machine-wide integrity state: configuration, counters, and the

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "obs/fields.hpp"
 #include "util/histogram.hpp"
 #include "util/time_types.hpp"
 
@@ -144,6 +145,24 @@ struct FlowStats {
   std::uint64_t retry_budget_exhausted = 0;
   /// Occupancy of the (src,dst) credit window sampled at each acquire.
   util::Histogram queue_depth;
+};
+
+/// FlowStats' metrics; the queue depth is reported by hand, once sampled.
+inline constexpr obs::Field<FlowStats> kFlowStatsFields[] = {
+    {"flow.credit_stalls", obs::kCount, &FlowStats::credit_stalls,
+     "credit stalls"},
+    {"flow.credit_stall_us", obs::kTime, &FlowStats::credit_stall_time,
+     "credit stall seconds (sum)"},
+    {"flow.expired_server", obs::kCount, &FlowStats::expired_server,
+     "requests shed at server (expired)"},
+    {"flow.expired_client", obs::kCount, &FlowStats::expired_client,
+     "requests expired at client"},
+    {"flow.shed_low_prio", obs::kCount, &FlowStats::shed_low_prio,
+     "shed by admission (low prio)"},
+    {"flow.shed_high_prio", obs::kCount, &FlowStats::shed_high_prio,
+     "shed by admission (high prio)"},
+    {"flow.retry_budget_exhausted", obs::kCount,
+     &FlowStats::retry_budget_exhausted, "retry budgets exhausted"},
 };
 
 /// Machine-level flow controller: the per-(src,dst) credit ledger plus

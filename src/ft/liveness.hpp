@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "obs/fields.hpp"
 #include "topo/torus.hpp"
 #include "util/time_types.hpp"
 
@@ -73,6 +74,25 @@ struct FtStats {
   std::uint64_t rollbacks = 0;        ///< recovery rounds completed
   std::uint64_t rollback_ranks = 0;   ///< survivor ranks rolled back (sum)
   Time recovery_time = 0;             ///< virtual time inside recovery rounds
+};
+
+/// FtStats' metrics: the report's fail-stop recovery table.
+inline constexpr obs::Field<FtStats> kFtStatsFields[] = {
+    {"ft.detections", obs::kCount, &FtStats::detections,
+     "node deaths declared"},
+    {"ft.detection_delay_us", obs::kTime, &FtStats::detection_delay,
+     "detection delay seconds (sum)"},
+    {"ft.ranks_lost", obs::kCount, &FtStats::ranks_lost, "ranks lost"},
+    {"ft.quarantined_ops", obs::kCount, &FtStats::quarantined_ops,
+     "ops quarantined (dead peers)"},
+    {"ft.checkpoints", obs::kCount, &FtStats::checkpoints,
+     "checkpoints committed"},
+    {"ft.checkpoint_bytes", obs::kBytes, &FtStats::checkpoint_bytes,
+     "checkpoint bytes to buddies"},
+    {"ft.rollbacks", obs::kCount, &FtStats::rollbacks, "rollbacks"},
+    {"ft.rollback_ranks", obs::kCount, &FtStats::rollback_ranks,
+     "survivor ranks rolled back (sum)"},
+    {"ft.recovery_us", obs::kTime, &FtStats::recovery_time, "recovery seconds"},
 };
 
 /// Detection knobs (`ft.*` keys; see ft::RuntimeConfig::from_config).

@@ -144,29 +144,7 @@ std::uint64_t ZipfGenerator::next(Rng& rng) const {
 // ---------------------------------------------------------------------------
 
 void KvStats::merge(const KvStats& o) {
-  gets += o.gets;
-  puts += o.puts;
-  faas += o.faas;
-  get_misses += o.get_misses;
-  cas_lost += o.cas_lost;
-  version_retries += o.version_retries;
-  probe_steps += o.probe_steps;
-  torn_reads += o.torn_reads;
-  replayed_ops += o.replayed_ops;
-  lost_acked += o.lost_acked;
-  shed_ops += o.shed_ops;
-  expired_ops += o.expired_ops;
-  deadline_errors += o.deadline_errors;
-  hedged_gets += o.hedged_gets;
-  hedge_wins += o.hedge_wins;
-  hedge_stale += o.hedge_stale;
-  hedge_cancels += o.hedge_cancels;
-  hedge_cancel_late += o.hedge_cancel_late;
-  hedge_skips += o.hedge_skips;
-  retry_backoffs += o.retry_backoffs;
-  get_lat.merge(o.get_lat);
-  put_lat.merge(o.put_lat);
-  faa_lat.merge(o.faa_lat);
+  obs::merge_fields(*this, o, kKvStatsFields);
 }
 
 // ---------------------------------------------------------------------------
@@ -1118,31 +1096,14 @@ void export_metrics(obs::Registry& reg, const KvResult& r,
   reg.set_counter("kvs.acked_ops", r.acked_ops, labels);
   reg.set_gauge("kvs.throughput_mops", r.mops, labels);
   reg.set_gauge("kvs.elapsed_s", r.elapsed_s, labels);
-  reg.set_counter("kvs.gets", r.total.gets, labels);
-  reg.set_counter("kvs.puts", r.total.puts, labels);
-  reg.set_counter("kvs.faas", r.total.faas, labels);
-  reg.set_counter("kvs.get_misses", r.total.get_misses, labels);
-  reg.set_counter("kvs.cas_lost", r.total.cas_lost, labels);
-  reg.set_counter("kvs.version_retries", r.total.version_retries, labels);
-  reg.set_counter("kvs.probe_steps", r.total.probe_steps, labels);
-  reg.set_counter("kvs.torn_reads", r.torn_reads, labels);
-  reg.set_counter("kvs.replayed_ops", r.total.replayed_ops, labels);
-  reg.set_counter("kvs.lost_acked_writes", r.lost_acked, labels);
+  const std::span<const obs::Field<KvStats>> rows(kKvStatsFields);
+  obs::export_fields(reg, r.total, rows.first(kKvOverloadRow), labels);
   reg.set_counter("kvs.faa_expected", r.faa_expected, labels);
   reg.set_counter("kvs.faa_applied", r.faa_applied, labels);
   reg.set_counter("kvs.offered_ops", r.offered_ops, labels);
   reg.set_counter("kvs.good_ops", r.good_ops, labels);
   reg.set_gauge("kvs.goodput_mops", r.goodput_mops, labels);
-  reg.set_counter("kvs.shed_ops", r.total.shed_ops, labels);
-  reg.set_counter("kvs.expired_ops", r.total.expired_ops, labels);
-  reg.set_counter("kvs.deadline_errors", r.total.deadline_errors, labels);
-  reg.set_counter("kvs.hedged_gets", r.total.hedged_gets, labels);
-  reg.set_counter("kvs.hedge_wins", r.total.hedge_wins, labels);
-  reg.set_counter("kvs.hedge_stale", r.total.hedge_stale, labels);
-  reg.set_counter("kvs.hedge_cancels", r.total.hedge_cancels, labels);
-  reg.set_counter("kvs.hedge_cancel_late", r.total.hedge_cancel_late, labels);
-  reg.set_counter("kvs.hedge_skips", r.total.hedge_skips, labels);
-  reg.set_counter("kvs.retry_backoffs", r.total.retry_backoffs, labels);
+  obs::export_fields(reg, r.total, rows.subspan(kKvOverloadRow), labels);
   reg.set_counter("kvs.survivors", static_cast<std::uint64_t>(r.survivors),
                   labels);
   reg.set_counter("kvs.recoveries", static_cast<std::uint64_t>(r.recoveries),
@@ -1158,12 +1119,12 @@ void export_metrics(obs::Registry& reg, const KvResult& r,
     if (hist->total() == 0) continue;
     obs::Labels with_op = labels;
     with_op.emplace_back("op", name);
-    reg.set_gauge("kvs.lat_p50_us", static_cast<double>(hist->quantile(0.5)) / 1e3,
-                  with_op);
-    reg.set_gauge("kvs.lat_p99_us", static_cast<double>(hist->quantile(0.99)) / 1e3,
-                  with_op);
-    reg.set_gauge("kvs.lat_p999_us",
-                  static_cast<double>(hist->quantile(0.999)) / 1e3, with_op);
+    for (const auto& [gauge, q] : {std::pair{"kvs.lat_p50_us", 0.5},
+                                   {"kvs.lat_p99_us", 0.99},
+                                   {"kvs.lat_p999_us", 0.999}}) {
+      reg.set_gauge(gauge, static_cast<double>(hist->quantile(q)) / 1e3,
+                    with_op);
+    }
     reg.set_gauge("kvs.lat_mean_us", hist->mean() / 1e3, with_op);
     reg.set_gauge("kvs.lat_max_us", static_cast<double>(hist->max()) / 1e3,
                   with_op);

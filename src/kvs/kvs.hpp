@@ -36,12 +36,13 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/comm.hpp"
 #include "flow/flow.hpp"
 #include "ft/recovery.hpp"
-#include "obs/registry.hpp"
+#include "obs/fields.hpp"
 #include "util/config.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
@@ -159,6 +160,38 @@ struct KvStats {
 
   void merge(const KvStats& o);
 };
+
+/// KvStats' metrics; export_metrics splits them at kKvOverloadRow and
+/// exports the latency histograms by hand, one label set per op.
+inline constexpr obs::Field<KvStats> kKvStatsFields[] = {
+    {"kvs.gets", obs::kCount, &KvStats::gets},
+    {"kvs.puts", obs::kCount, &KvStats::puts},
+    {"kvs.faas", obs::kCount, &KvStats::faas},
+    {"kvs.get_misses", obs::kCount, &KvStats::get_misses},
+    {"kvs.cas_lost", obs::kCount, &KvStats::cas_lost},
+    {"kvs.version_retries", obs::kCount, &KvStats::version_retries},
+    {"kvs.probe_steps", obs::kCount, &KvStats::probe_steps},
+    {"kvs.torn_reads", obs::kCount, &KvStats::torn_reads},
+    {"kvs.replayed_ops", obs::kCount, &KvStats::replayed_ops},
+    {"kvs.lost_acked_writes", obs::kCount, &KvStats::lost_acked},
+    {"kvs.shed_ops", obs::kCount, &KvStats::shed_ops},
+    {"kvs.expired_ops", obs::kCount, &KvStats::expired_ops},
+    {"kvs.deadline_errors", obs::kCount, &KvStats::deadline_errors},
+    {"kvs.hedged_gets", obs::kCount, &KvStats::hedged_gets},
+    {"kvs.hedge_wins", obs::kCount, &KvStats::hedge_wins},
+    {"kvs.hedge_stale", obs::kCount, &KvStats::hedge_stale},
+    {"kvs.hedge_cancels", obs::kCount, &KvStats::hedge_cancels},
+    {"kvs.hedge_cancel_late", obs::kCount, &KvStats::hedge_cancel_late},
+    {"kvs.hedge_skips", obs::kCount, &KvStats::hedge_skips},
+    {"kvs.retry_backoffs", obs::kCount, &KvStats::retry_backoffs},
+    {nullptr, obs::kHistogram, &KvStats::get_lat},
+    {nullptr, obs::kHistogram, &KvStats::put_lat},
+    {nullptr, obs::kHistogram, &KvStats::faa_lat},
+};
+/// Index of the first overload-control row in kKvStatsFields.
+inline constexpr std::size_t kKvOverloadRow = 10;
+static_assert(std::string_view(kKvStatsFields[kKvOverloadRow].name) ==
+              "kvs.shed_ops");
 
 /// The sharded store; one instance per rank (collective construction).
 class KvStore final : public ft::Shardable {

@@ -28,42 +28,13 @@ void Registry::set_counter(const std::string& name, std::uint64_t value,
   find_or_create(name, labels, Kind::kCounter).count = value;
 }
 
-void Registry::add_counter(const std::string& name, std::uint64_t delta,
-                           Labels labels) {
-  find_or_create(name, labels, Kind::kCounter).count += delta;
-}
-
 void Registry::set_gauge(const std::string& name, double value, Labels labels) {
   find_or_create(name, labels, Kind::kGauge).value = value;
 }
 
-void Registry::set_histogram(const std::string& name, const Log2Histogram& hist,
-                             Labels labels) {
-  Metric& m = find_or_create(name, labels, Kind::kHistogram);
-  m.total = hist.total();
-  m.buckets.clear();
-  for (std::size_t i = 0; i < hist.bucket_count(); ++i) {
-    m.buckets.push_back(hist.bucket(i));
-  }
-}
-
-void Registry::set_histogram(const std::string& name,
-                             const util::Histogram& hist, Labels labels) {
-  Metric& m = find_or_create(name, labels, Kind::kHistogram);
-  m.total = hist.total();
-  m.buckets.clear();
-  for (std::size_t i = 0; i < hist.bucket_count(); ++i) {
-    m.buckets.push_back(hist.bucket(i));
-  }
-}
-
 void Registry::merge_from(const Registry& other) {
   for (const Metric& src : other.metrics_) {
-    Metric& dst = find_or_create(src.name, src.labels, src.kind);
-    dst.count = src.count;
-    dst.value = src.value;
-    dst.buckets = src.buckets;
-    dst.total = src.total;
+    find_or_create(src.name, src.labels, src.kind) = src;
   }
 }
 
@@ -88,29 +59,18 @@ std::string Registry::to_text() const {
     out += " = ";
     switch (m.kind) {
       case Kind::kCounter:
-        std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(m.count));
-        out += buf;
+        out += std::to_string(m.count);
         break;
       case Kind::kGauge:
         std::snprintf(buf, sizeof buf, "%.3f", m.value);
         out += buf;
         break;
       case Kind::kHistogram:
-        std::snprintf(buf, sizeof buf, "histogram(total=%llu)",
-                      static_cast<unsigned long long>(m.total));
-        out += buf;
+        out += "histogram(total=" + std::to_string(m.total) + ")";
         break;
     }
     out += '\n';
   }
-  return out;
-}
-
-std::vector<std::string> Registry::names() const {
-  std::vector<std::string> out;
-  out.reserve(metrics_.size());
-  for (const auto& m : metrics_) out.push_back(m.name);
   return out;
 }
 

@@ -2,11 +2,12 @@
 // counters, gauges, and log2 histograms with optional labels.
 //
 // The registry is a *snapshot* container: at report time the runtime
-// (core/report_json) folds the ad-hoc stats structs — CommStats,
-// coll::CollStats, fault::FaultStats, ft tables, link counters — into
-// one registry and serializes it. Identical runs produce byte-identical
-// serializations because insertion order is preserved and values are
-// integers or deterministically formatted doubles.
+// (core/report_json) exports every stats struct into one registry and
+// serializes it. Structs with a field table (obs/fields.hpp) export
+// through it; CollStats, link counters and app metrics export by hand.
+// Identical runs produce byte-identical serializations because
+// insertion order is preserved and values are integers or
+// deterministically formatted doubles.
 #pragma once
 
 #include <cstdint>
@@ -28,18 +29,20 @@ class Registry {
   /// Sets (or overwrites) a monotone counter.
   void set_counter(const std::string& name, std::uint64_t value,
                    Labels labels = {});
-  /// Accumulates into a counter, creating it at zero first.
-  void add_counter(const std::string& name, std::uint64_t delta,
-                   Labels labels = {});
   /// Sets a point-in-time double-valued gauge (times, utilizations).
   void set_gauge(const std::string& name, double value, Labels labels = {});
-  /// Snapshots a log2-bucketed histogram.
-  void set_histogram(const std::string& name, const Log2Histogram& hist,
-                     Labels labels = {});
-  /// Snapshots a util::Histogram (HDR-style log-bucketed latency
-  /// histogram); serialized with the same {"total", "buckets"} shape.
-  void set_histogram(const std::string& name, const util::Histogram& hist,
-                     Labels labels = {});
+  /// Snapshots a Log2Histogram or a util::Histogram (HDR-style latency
+  /// histogram); both serialize as {"total", "buckets"}.
+  template <class Hist>
+  void set_histogram(const std::string& name, const Hist& hist,
+                     Labels labels = {}) {
+    Metric& m = find_or_create(name, labels, Kind::kHistogram);
+    m.total = hist.total();
+    m.buckets.resize(hist.bucket_count());
+    for (std::size_t i = 0; i < m.buckets.size(); ++i) {
+      m.buckets[i] = hist.bucket(i);
+    }
+  }
 
   /// Folds every metric of `other` into this registry (set semantics:
   /// same name+labels overwrites). Lets an application accumulate its
@@ -51,10 +54,6 @@ class Registry {
   /// Deterministic plain-text rendering, one "name{k=v,...} = value"
   /// line per metric (histograms show their totals); insertion order.
   std::string to_text() const;
-
-  /// All metric names in insertion order (duplicates possible when the
-  /// same name carries different labels).
-  std::vector<std::string> names() const;
 
   /// Serializes to a JSON array of
   ///   {"name":…, "type":"counter"|"gauge"|"histogram",

@@ -65,11 +65,14 @@ double Config::get_double(const std::string& key, double fallback) const {
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
   const auto v = find(key);
-  if (!v) return fallback;
-  if (*v == "1" || *v == "true" || *v == "yes" || *v == "on") return true;
-  if (*v == "0" || *v == "false" || *v == "no" || *v == "off") return false;
-  PGASQ_CHECK(false, << "config key '" << key << "' is not a boolean: " << *v);
-  return fallback;
+  return v ? parse_bool(key, *v) : fallback;
+}
+
+bool parse_bool(const std::string& key, const std::string& v) {
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  PGASQ_CHECK(v == "0" || v == "false" || v == "no" || v == "off",
+              << "config key '" << key << "' is not a boolean: " << v);
+  return false;
 }
 
 namespace {

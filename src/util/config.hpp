@@ -46,4 +46,8 @@ class Config {
   std::vector<std::string> positional_;
 };
 
+/// The boolean vocabulary of every config surface: 1/true/yes/on and
+/// 0/false/no/off. Throws Error naming `key` on anything else.
+bool parse_bool(const std::string& key, const std::string& value);
+
 }  // namespace pgasq

@@ -98,4 +98,18 @@ std::string format_bytes(std::uint64_t bytes) {
   return std::to_string(bytes);
 }
 
+std::string human_bytes(std::uint64_t b) {
+  char buf[32];
+  if (b >= (1ull << 30)) {
+    std::snprintf(buf, sizeof buf, "%.2f GiB", static_cast<double>(b) / (1ull << 30));
+  } else if (b >= (1ull << 20)) {
+    std::snprintf(buf, sizeof buf, "%.2f MiB", static_cast<double>(b) / (1ull << 20));
+  } else if (b >= (1ull << 10)) {
+    std::snprintf(buf, sizeof buf, "%.2f KiB", static_cast<double>(b) / (1ull << 10));
+  } else {
+    std::snprintf(buf, sizeof buf, "%llu B", static_cast<unsigned long long>(b));
+  }
+  return buf;
+}
+
 }  // namespace pgasq

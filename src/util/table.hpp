@@ -2,6 +2,7 @@
 // harness to emit paper-style rows.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,5 +39,9 @@ class Table {
 /// Formats a byte count as "16", "2K", "1M" the way the paper labels
 /// message-size axes.
 std::string format_bytes(std::uint64_t bytes);
+
+/// Formats a byte count as "512 B", "1.50 KiB", "2.00 MiB", "3.00 GiB"
+/// the way the communication report prints volumes.
+std::string human_bytes(std::uint64_t bytes);
 
 }  // namespace pgasq

@@ -287,17 +287,20 @@ TEST(Selection, DefaultsMatchTheTable) {
 }
 
 TEST(Selection, DisablingHwFallsBackToSoftware) {
-  armci::World world(make_cfg(16, 42, {{"hw", "0"}}));
-  world.spmd([](armci::Comm& comm) {
-    auto& engine = CollEngine::of(comm);
-    EXPECT_FALSE(engine.config().hw_enabled);
-    // The size/geometry table now picks among software schedules.
-    EXPECT_EQ(engine.algo_for(Op::kBarrier, 0), Algo::kRecdbl);
-    EXPECT_EQ(engine.algo_for(Op::kBroadcast, 256), Algo::kBinomial);
-    EXPECT_EQ(engine.algo_for(Op::kAllreduce, 256), Algo::kRecdbl);
-    EXPECT_EQ(engine.algo_for(Op::kAllreduce, 1 << 20), Algo::kTorusRing);
-    engine.barrier();
-  });
+  // Any boolean spelling of "off" disables hw, as Config::get_bool reads it.
+  for (const char* off : {"0", "off"}) {
+    armci::World world(make_cfg(16, 42, {{"hw", off}}));
+    world.spmd([off](armci::Comm& comm) {
+      auto& engine = CollEngine::of(comm);
+      EXPECT_FALSE(engine.config().hw_enabled) << "hw=" << off;
+      // The size/geometry table now picks among software schedules.
+      EXPECT_EQ(engine.algo_for(Op::kBarrier, 0), Algo::kRecdbl);
+      EXPECT_EQ(engine.algo_for(Op::kBroadcast, 256), Algo::kBinomial);
+      EXPECT_EQ(engine.algo_for(Op::kAllreduce, 256), Algo::kRecdbl);
+      EXPECT_EQ(engine.algo_for(Op::kAllreduce, 1 << 20), Algo::kTorusRing);
+      engine.barrier();
+    });
+  }
 }
 
 TEST(Selection, ForcedAlgorithmsAreNormalized) {
@@ -319,6 +322,10 @@ TEST(Selection, ForcedAlgorithmsAreNormalized) {
 TEST(Selection, RejectsUnknownOptions) {
   armci::World world(make_cfg(2, 42, {{"bogus", "1"}}));
   EXPECT_THROW(world.spmd([](armci::Comm& comm) { CollEngine::of(comm); }),
+               Error);
+  // A value outside the boolean vocabulary is an error, not "on".
+  armci::World maybe(make_cfg(2, 42, {{"hw", "maybe"}}));
+  EXPECT_THROW(maybe.spmd([](armci::Comm& comm) { CollEngine::of(comm); }),
                Error);
 }
 

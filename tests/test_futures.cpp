@@ -16,6 +16,7 @@
 #include "async/async.hpp"
 #include "coll/coll.hpp"
 #include "coll/nbc.hpp"
+#include "core/report_json.hpp"
 #include "core/world.hpp"
 #include "fault/fault.hpp"
 #include "util/error.hpp"
@@ -386,6 +387,20 @@ TEST(Fut, RevokedGetCancelsBeforeInjection) {
     EXPECT_FALSE(comm.revoke_get(g.op));
     comm.barrier();
   });
+  // The JSON report carries the revokes, summed over ranks.
+  std::uint64_t revoked = 0;
+  for (int r = 0; r < world.num_ranks(); ++r) {
+    revoked += world.stats(r).gets_revoked;
+  }
+  EXPECT_EQ(revoked, 2u);
+  const obs::Json metrics = armci::build_registry(world).to_json();
+  int found = 0;
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    if (metrics[i].at("name").as_string() != "armci.gets_revoked") continue;
+    ++found;
+    EXPECT_EQ(metrics[i].at("value").as_uint(), revoked);
+  }
+  EXPECT_EQ(found, 1);
 }
 
 // ---------------------------------------------------------------------------

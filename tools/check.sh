@@ -79,7 +79,7 @@ kvs_gate() {
   # mid-run node death (the bench exits 1 on any lost acked write or a
   # faa exactly-once mismatch), with every injected flip caught by the
   # transport CRC; and two identical runs must emit bitwise-identical
-  # kvs.* metrics.
+  # reports (every metric, not only kvs.*).
   local dir="$1" out="${repo}/$1/kvs-gate"
   echo "=== kvs gate: ${dir}" >&2
   mkdir -p "${out}"
@@ -107,7 +107,7 @@ PY
     --failstop=0 "--report.json_path=${out}/BENCH_kvs_a.json" >/dev/null
   "${repo}/${dir}/bench/bench_abl_kvs" --ranks=24 --requests=16 \
     --failstop=0 "--report.json_path=${out}/BENCH_kvs_b.json" >/dev/null
-  python3 "${repo}/tools/bench_diff.py" --fail-over 0 --metric kvs. \
+  python3 "${repo}/tools/bench_diff.py" --fail-over 0 \
     "${out}/BENCH_kvs_a.json" "${out}/BENCH_kvs_b.json"
 }
 
@@ -118,7 +118,7 @@ overload_gate() {
   # its own peak); the metastability soak must recover with the
   # controls on (>= 90% of pre-stall goodput) and stay degraded with
   # them off; and two identical runs must emit bitwise-identical
-  # flow.* metrics.
+  # reports (every metric).
   local dir="$1" out="${repo}/$1/overload-gate"
   echo "=== overload gate: ${dir}" >&2
   mkdir -p "${out}"
@@ -154,9 +154,7 @@ PY
     "--report.json_path=${out}/BENCH_overload_a.json" >/dev/null
   "${repo}/${dir}/bench/bench_abl_overload" --factors=1.5 --soak=0 --hedge=0 \
     "--report.json_path=${out}/BENCH_overload_b.json" >/dev/null
-  python3 "${repo}/tools/bench_diff.py" --fail-over 0 --metric flow. \
-    "${out}/BENCH_overload_a.json" "${out}/BENCH_overload_b.json"
-  python3 "${repo}/tools/bench_diff.py" --fail-over 0 --metric kvs. \
+  python3 "${repo}/tools/bench_diff.py" --fail-over 0 \
     "${out}/BENCH_overload_a.json" "${out}/BENCH_overload_b.json"
 }
 
@@ -208,7 +206,8 @@ async_gate() {
   # incremental progress instead of blocking), plus the async.* gauge
   # series in the timeline; both arms of the overlap bench must agree
   # on the Fock checksum and energy (asserted in-binary), and two
-  # identical bench runs must emit bitwise-identical async.* metrics.
+  # identical bench runs must emit bitwise-identical reports (every
+  # metric).
   local dir="$1" out="${repo}/$1/async-gate"
   echo "=== async gate: ${dir}" >&2
   mkdir -p "${out}"
@@ -234,7 +233,7 @@ PY
   "${repo}/${dir}/bench/bench_abl_async" --ranks=64 --ranks_per_node=16 \
     --nbf=128 --block=8 --iterations=2 --task_us=500 \
     "--report.json_path=${out}/BENCH_async_b.json" >/dev/null
-  python3 "${repo}/tools/bench_diff.py" --fail-over 0 --metric async. \
+  python3 "${repo}/tools/bench_diff.py" --fail-over 0 \
     "${out}/BENCH_async_a.json" "${out}/BENCH_async_b.json"
 }
 

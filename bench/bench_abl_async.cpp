@@ -101,5 +101,6 @@ int main(int argc, char** argv) {
 
   last_world->app_metrics().merge_from(acc);
   bench::emit_observability(cli, *last_world);
+  cli.reject_unused();
   return 0;
 }

@@ -133,5 +133,6 @@ int main(int argc, char** argv) {
               " torus bucket ring moves ~2x the payload over nearest-\n"
               " neighbour links; hw models the collective-logic tree at\n"
               " 2 GB/s — crossovers drive coll/selection.cpp defaults)\n");
+  cli.reject_unused();
   return 0;
 }

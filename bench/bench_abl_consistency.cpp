@@ -82,5 +82,6 @@ int main(int argc, char** argv) {
               naive.wall_ms == 0.0
                   ? 0.0
                   : 100.0 * (naive.wall_ms - region.wall_ms) / naive.wall_ms);
+  cli.reject_unused();
   return 0;
 }

@@ -82,5 +82,6 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(63 ranks hammer a counter at rank 0 while rank 0's main thread\n"
               " streams blocking gets; rho=1 funnels both through one lock)\n");
+  cli.reject_unused();
   return 0;
 }

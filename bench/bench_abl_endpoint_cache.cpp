@@ -56,5 +56,6 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(rank 0 puts to 511 targets x 3 rounds; caching pays beta=0.3us\n"
               " once per clique member instead of once per operation)\n");
+  cli.reject_unused();
   return 0;
 }

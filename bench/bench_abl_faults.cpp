@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
       "bench_abl_faults: put/get bandwidth under packet loss + link failure",
       "Fig 4 under fault injection — retransmit/backoff + route-around cost");
   const int window = static_cast<int>(cli.get_int("window", 32));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("fault.seed", 1));
 
   // Two ranks four hops apart on a 4x1x1x1x1 ring, so the failed-link
   // scenarios take a real detour (dim of size 4; a size-2 dim reroutes
@@ -48,7 +47,6 @@ int main(int argc, char** argv) {
     cfg.machine.dims = topo::Coord5{4, 1, 1, 1, 1};
     cfg.machine.ranks_per_node = 1;
     cfg.machine.num_ranks = 2;
-    cfg.machine.fault.seed = seed;
     cfg.machine.fault.drop_prob = sc.drop_prob;
     if (sc.failed_link) {
       cfg.machine.fault.link_faults.push_back(
@@ -95,7 +93,7 @@ int main(int argc, char** argv) {
       comm.barrier();
     });
     std::printf("\n--- scenario %s (seed=%llu) ---\n", sc.name,
-                static_cast<unsigned long long>(seed));
+                static_cast<unsigned long long>(cfg.machine.fault.seed));
     table.print();
     fault::FaultStats recovered{};
     if (const fault::Injector* inj = world.machine().injector()) {
@@ -107,5 +105,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(recovered.reroutes),
                 to_ms(recovered.backoff_time));
   }
+  cli.reject_unused();
   return 0;
 }

@@ -17,7 +17,6 @@
 // etc.). Virtual wall times carry sub-percent run-to-run layout
 // jitter, so overheads are reported to 0.1%.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -27,23 +26,6 @@
 #include "ft/liveness.hpp"
 
 using namespace pgasq;
-
-namespace {
-
-std::vector<double> parse_list(const std::string& csv) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string tok = csv.substr(pos, comma - pos);
-    out.push_back(std::strtod(tok.c_str(), nullptr));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
@@ -57,10 +39,8 @@ int main(int argc, char** argv) {
   scf.iterations = static_cast<int>(cli.get_int("iterations", 4));
   scf.mean_task_compute = from_us(cli.get_double("task_us", 5000.0));
 
-  const std::vector<double> intervals =
-      parse_list(cli.get_string("intervals", "0,1,2"));
-  const std::vector<double> fracs =
-      parse_list(cli.get_string("fracs", "0.3,0.6,0.9"));
+  const std::vector<double> intervals = cli.get_doubles("intervals", {0.0, 1.0, 2.0});
+  const std::vector<double> fracs = cli.get_doubles("fracs", {0.3, 0.6, 0.9});
   const int dead_node = static_cast<int>(cli.get_int("dead_node", 3));
 
   // 8 nodes on a 2x2x2 torus, one rank each: a death leaves a
@@ -141,5 +121,6 @@ int main(int argc, char** argv) {
       "overhead; on failure rows it is the total slip (lost work +\n"
       "detection + recovery + re-execution on 7 ranks). recovery_ms is\n"
       "the shrink/agreement/redistribution round only.\n");
+  cli.reject_unused();
   return 0;
 }

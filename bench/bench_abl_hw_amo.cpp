@@ -37,5 +37,6 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(software AMO latency grows ~linearly with p; the emulated NIC\n"
               " AMO stays near-flat — the paper's case for future hardware)\n");
+  cli.reject_unused();
   return 0;
 }

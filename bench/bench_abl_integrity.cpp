@@ -35,8 +35,6 @@ int main(int argc, char** argv) {
       "bench_abl_integrity: put/get bandwidth under CRC-verified transport",
       "Fig 4 with silent corruption — CRC+NACK repair cost vs corruption rate");
   const int window = static_cast<int>(cli.get_int("window", 32));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(cli.get_int("fault.seed", 1));
 
   const std::vector<Scenario> scenarios = {
       {"off", 0.0, false},
@@ -55,7 +53,6 @@ int main(int argc, char** argv) {
     cfg.machine.dims = topo::Coord5{4, 1, 1, 1, 1};
     cfg.machine.ranks_per_node = 1;
     cfg.machine.num_ranks = 2;
-    cfg.machine.fault.seed = seed;
     cfg.machine.fault.corrupt_prob = sc.corrupt_prob;
     if (sc.integrity) cfg.machine.integrity.configured = true;
 
@@ -98,7 +95,7 @@ int main(int argc, char** argv) {
       comm.barrier();
     });
     std::printf("\n--- scenario %s (seed=%llu) ---\n", sc.name,
-                static_cast<unsigned long long>(seed));
+                static_cast<unsigned long long>(cfg.machine.fault.seed));
     table.print();
     std::uint64_t injected = 0;
     if (const fault::Injector* inj = world.machine().injector()) {
@@ -129,5 +126,6 @@ int main(int argc, char** argv) {
   std::printf("\nCRC-on overhead at corruption rate 0: worst %.2f%% of put "
               "bandwidth across the sweep (budget: 2%%)\n",
               100.0 * worst);
+  cli.reject_unused();
   return worst < 0.02 ? 0 : 1;
 }

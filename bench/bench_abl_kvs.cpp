@@ -17,12 +17,12 @@
 // one accumulated registry that lands in the final pgasq.report JSON
 // (--report.json_path), so a single artifact carries the whole sweep.
 //
-// Knobs: ranks (default 512), requests, keys, value_bytes, thetas,
-// get_ratios, failstop (0 disables section 3), failstop_ranks,
-// failstop_frac, plus every kvs.* knob (kvs.seed, kvs.faa_ratio, ...).
+// Knobs: ranks (default 512), thetas, get_ratios, failstop (0 disables
+// section 3), failstop_ranks, failstop_frac, failstop_requests,
+// dead_node, plus every kvs.* knob (kvs.keys default 8192,
+// kvs.requests default 32, kvs.seed, kvs.faa_ratio, ...).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,18 +34,6 @@
 using namespace pgasq;
 
 namespace {
-
-std::vector<double> parse_list(const std::string& csv) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    out.push_back(std::strtod(csv.substr(pos, comma - pos).c_str(), nullptr));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
 
 double q_us(const util::Histogram& h, double q) {
   return static_cast<double>(h.quantile(q)) / 1e3;
@@ -59,16 +47,14 @@ int main(int argc, char** argv) {
       "bench_abl_kvs: sharded KV service — zipfian tails + fail-stop durability",
       "PGAS serving-tier ablation (beyond the paper's dense kernels)");
 
-  kvs::KvConfig base = kvs::KvConfig::from_config(cli);
-  base.keys = cli.get_int("keys", 8192);
-  base.requests = cli.get_int("requests", 32);
-  base.value_bytes = cli.get_int("value_bytes", base.value_bytes);
+  kvs::KvConfig defaults;
+  defaults.keys = 8192;
+  defaults.requests = 32;
+  const kvs::KvConfig base = kvs::KvConfig::from_config(cli, defaults);
 
   const int ranks = static_cast<int>(cli.get_int("ranks", 512));
-  const std::vector<double> thetas =
-      parse_list(cli.get_string("thetas", "0.99,0"));
-  const std::vector<double> get_ratios =
-      parse_list(cli.get_string("get_ratios", "0.95,0.5"));
+  const std::vector<double> thetas = cli.get_doubles("thetas", {0.99, 0.0});
+  const std::vector<double> get_ratios = cli.get_doubles("get_ratios", {0.95, 0.5});
 
   obs::Registry acc;
   std::unique_ptr<armci::World> last_world;
@@ -118,8 +104,7 @@ int main(int argc, char** argv) {
     const double frac = cli.get_double("failstop_frac", 0.55);
     kvs::KvConfig kc = base;
     kc.requests = cli.get_int("failstop_requests", 48);
-    kc.checkpoint_every =
-        cli.get_int("kvs.checkpoint_every", 0) > 0 ? kc.checkpoint_every : 12;
+    if (kc.checkpoint_every <= 0) kc.checkpoint_every = 12;
     kc.faa_ratio = kc.faa_ratio > 0.0 ? kc.faa_ratio : 0.1;
     kc.get_ratio = 0.5;
     // A closed-loop think time keeps the traffic window well past the
@@ -173,5 +158,6 @@ int main(int argc, char** argv) {
   // series into the last world's application metrics before emitting.
   last_world->app_metrics().merge_from(acc);
   bench::emit_observability(cli, *last_world);
+  cli.reject_unused();
   return 0;
 }

@@ -74,5 +74,6 @@ int main(int argc, char** argv) {
               incast_ms(cli, "loggp"));
   std::printf("  contention: %.3f ms (links near rank 0 serialize)\n",
               incast_ms(cli, "contention"));
+  cli.reject_unused();
   return 0;
 }

@@ -33,12 +33,12 @@
 // (--report.json_path) — tools/check.sh's overload_gate asserts the
 // plateau and the recovery there.
 //
-// Knobs: ranks (8), requests (192), keys, deadline_us (0 = auto from
-// the calibrated closed-loop p99), credits, factors, hedge (0/1),
-// soak (0/1), plus every kvs.* / flow.* / fault.* knob.
+// Knobs: ranks (8), deadline_us (0 = auto from the calibrated
+// closed-loop p99), credits, factors, hedge (0/1), soak (0/1), plus
+// every kvs.* / flow.* / fault.* knob (kvs.requests default 192,
+// kvs.keys 512).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,18 +52,6 @@
 using namespace pgasq;
 
 namespace {
-
-std::vector<double> parse_list(const std::string& csv) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    out.push_back(std::strtod(csv.substr(pos, comma - pos).c_str(), nullptr));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
 
 double q_us(const util::Histogram& h, double q) {
   return static_cast<double>(h.quantile(q)) / 1e3;
@@ -92,17 +80,18 @@ int main(int argc, char** argv) {
       "deadlines, shedding",
       "robustness ablation (beyond the paper's closed-loop kernels)");
 
-  kvs::KvConfig base = kvs::KvConfig::from_config(cli);
-  base.keys = cli.get_int("keys", 512);
-  base.requests = cli.get_int("requests", 192);
-  base.get_ratio = cli.has("kvs.get_ratio") ? base.get_ratio : 0.9;
-  base.zipf_theta = cli.has("kvs.zipf_theta") ? base.zipf_theta : 0.6;
-  base.verify = false;  // audits re-read every key; off the overload path
+  kvs::KvConfig defaults;
+  defaults.keys = 512;
+  defaults.requests = 192;
+  defaults.get_ratio = 0.9;
+  defaults.zipf_theta = 0.6;
+  defaults.verify = false;  // audits re-read every key; off the overload path
+  const kvs::KvConfig base = kvs::KvConfig::from_config(cli, defaults);
 
   const int ranks = static_cast<int>(cli.get_int("ranks", 8));
   const int credits = static_cast<int>(cli.get_int("credits", 8));
   const std::vector<double> factors =
-      parse_list(cli.get_string("factors", "0.2,0.5,1.0,1.5,2.0,3.0"));
+      cli.get_doubles("factors", {0.2, 0.5, 1.0, 1.5, 2.0, 3.0});
 
   obs::Registry acc;
   std::unique_ptr<armci::World> last_world;
@@ -253,6 +242,22 @@ int main(int argc, char** argv) {
         "outbound brownouts (%.0f%% capacity) every %.0fus, buddy "
         "checkpoint copies\n",
         hranks, burst_us, 100.0 * cap, period_us);
+    // Read-only loop: a browned-out client's own 2KB put payloads
+    // would book 50x serialization on its OWN NIC and delay its
+    // subsequent get REQUESTS — a sender-side tail no read hedge can
+    // touch. Hedging is a read-side defense; measure it as one. KB-scale
+    // values make a browned-out reply's inflated serialization dwarf
+    // the healthy path.
+    kvs::KvConfig hedge_defaults = defaults;
+    hedge_defaults.get_ratio = 1.0;
+    hedge_defaults.value_bytes = 2048;
+    hedge_defaults.slots_per_rank = 256;
+    hedge_defaults.requests = 4096;
+    kvs::KvConfig hedge_base = kvs::KvConfig::from_config(cli, hedge_defaults);
+    // One checkpoint per run length unless kvs.checkpoint_every is set.
+    if (hedge_base.checkpoint_every == 0) {
+      hedge_base.checkpoint_every = hedge_base.requests;
+    }
     Table ht({"hedge_us", "get_p90us", "get_p99us", "get_p999us", "hedged",
               "wins", "stale", "skips"});
     // Delay ABOVE the calibrated healthy p99 (only genuinely stuck
@@ -262,25 +267,14 @@ int main(int argc, char** argv) {
       // Closed loop: latency is pure service time, so the comparison
       // isolates the degraded-path tail the hedge dodges (checkpoint
       // barrier skew would otherwise dominate an open-loop p99).
-      kvs::KvConfig kc = base;
+      kvs::KvConfig kc = hedge_base;
       kc.think_us = 0.0;
       kc.hedge_us = hedge;
       // Prefill + one pre-loop checkpoint: a cold miss reads an empty
       // slot, which a buddy copy can never validate — read-mostly
       // hedging only makes sense against a populated, checkpointed
-      // table. KB-scale values make a browned-out reply's inflated
-      // serialization dwarf the healthy path.
+      // table.
       kc.prefill = true;
-      // Read-only loop: a browned-out client's own 2KB put payloads
-      // would book 50x serialization on its OWN NIC and delay its
-      // subsequent get REQUESTS — a sender-side tail no read hedge
-      // can touch. Hedging is a read-side defense; measure it as one.
-      if (!cli.has("kvs.get_ratio")) kc.get_ratio = 1.0;
-      if (!cli.has("kvs.keys")) kc.keys = 512;
-      if (!cli.has("kvs.value_bytes")) kc.value_bytes = 2048;
-      if (!cli.has("kvs.slots_per_rank")) kc.slots_per_rank = 256;
-      if (!cli.has("kvs.requests")) kc.requests = 4096;
-      if (!cli.has("kvs.checkpoint_every")) kc.checkpoint_every = kc.requests;
       armci::WorldConfig cfg = bench::make_world_config(cli, hranks);
       cfg.machine.flow = flow::FlowConfig{};
       if (cfg.machine.fault.link_faults.empty()) {
@@ -417,5 +411,6 @@ int main(int argc, char** argv) {
   // on, so the flow.* controller metrics land in the same document.
   last_world->app_metrics().merge_from(acc);
   bench::emit_observability(cli, *last_world);
+  cli.reject_unused();
   return 0;
 }

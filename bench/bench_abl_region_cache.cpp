@@ -68,5 +68,6 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(64 ranks, 4 rounds of puts to every rank's private buffer;\n"
               " capacity >= 63 turns repeat rounds into pure hits)\n");
+  cli.reject_unused();
   return 0;
 }

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   bench::print_banner("bench_abl_routing: deterministic vs dynamic routing (incast)",
                       "S II-A footnote 1 — what deterministic-only software costs");
   const std::uint64_t bytes = static_cast<std::uint64_t>(cli.get_int("bytes", 65536));
+  cli.reject_unused();
   Table table({"nodes", "loggp_us", "det_contention_us", "dyn_contention_us",
                "dyn_speedup"});
   for (int nodes : {32, 128, 512}) {

@@ -62,5 +62,6 @@ int main(int argc, char** argv) {
         .add(std::string(best));
   }
   table.print();
+  cli.reject_unused();
   return 0;
 }

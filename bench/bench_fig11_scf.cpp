@@ -57,5 +57,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   table.print();
+  cli.reject_unused();
   return 0;
 }

@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
                       "Fig 3 — get 2.89us / put 2.7us @16B, dip at 256B");
   armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
   const int iters = static_cast<int>(cli.get_int("iters", 5));
+  cli.reject_unused();
 
   Table table({"bytes", "get_us", "put_us"});
   armci::World world(cfg);

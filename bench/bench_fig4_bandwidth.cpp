@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
                       "Fig 4 — peak 1775 MB/s, get overhead visible <= 8KB");
   armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
   const int window = static_cast<int>(cli.get_int("window", 32));
+  cli.reject_unused();
 
   Table table({"bytes", "put_MB/s", "get_MB/s"});
   armci::World world(cfg);

@@ -11,6 +11,7 @@ int main(int argc, char** argv) {
                       "Fig 5 — ~1 ns/B beyond 4KB (aggregation inflection)");
   armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
   const int iters = static_cast<int>(cli.get_int("iters", 5));
+  cli.reject_unused();
 
   Table table({"bytes", "get_us", "ns_per_byte"});
   armci::World world(cfg);

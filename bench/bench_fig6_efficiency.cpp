@@ -11,6 +11,7 @@ int main(int argc, char** argv) {
                       "Fig 6 — N_1/2 ~2KB, >=90% beyond 16KB");
   armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
   const int window = static_cast<int>(cli.get_int("window", 32));
+  cli.reject_unused();
   const double peak = cfg.machine.params.peak_bandwidth_bytes_per_s;
 
   Table table({"bytes", "put_MB/s", "efficiency_%"});

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
                                                     /*ranks_per_node=*/16);
   const int iters = static_cast<int>(cli.get_int("iters", 3));
   const int stride = static_cast<int>(cli.get_int("rank_stride", 16));
+  cli.reject_unused();
 
   struct Row {
     int rank;

@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
                       "Fig 8 — 1MB total; curve tracks Fig 4 as l0 grows");
   armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
   const std::size_t total = static_cast<std::size_t>(cli.get_int("total", 1 << 20));
+  cli.reject_unused();
 
   Table table({"l0_bytes", "chunks", "protocol", "put_MB/s", "get_MB/s"});
   armci::World world(cfg);

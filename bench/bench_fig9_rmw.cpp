@@ -51,5 +51,6 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(D = default progress, AT = asynchronous thread; compute = rank 0 "
               "busy in ~300us chunks between progress calls)\n");
+  cli.reject_unused();
   return 0;
 }

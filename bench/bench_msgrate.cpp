@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/2);
   const std::size_t bytes = static_cast<std::size_t>(cli.get_int("bytes", 64));
   const int total = static_cast<int>(cli.get_int("messages", 512));
+  cli.reject_unused();
 
   Table table({"window", "msgs/s(M)", "MB/s"});
   for (int window : {1, 2, 4, 8, 16, 32, 64}) {

@@ -116,5 +116,6 @@ int main(int argc, char** argv) {
     std::printf("\n--- coll torus schedule, %d ranks, contention model ---\n%s",
                 hm_ranks, engine.c_str());
   }
+  cli.reject_unused();
   return 0;
 }

@@ -103,5 +103,6 @@ int main(int argc, char** argv) {
               " + leaders exchange + node fan-out; hier needs c >= 2 to have\n"
               " a node stage at all)\n",
               hp, hn);
+  cli.reject_unused();
   return 0;
 }

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
 
   pami::MachineConfig mcfg;
   mcfg.num_ranks = static_cast<int>(cli.get_int("ranks", 2));
+  cli.reject_unused();
   mcfg.ranks_per_node = 1;
   pami::Machine machine(mcfg);
 

@@ -3,13 +3,15 @@
 // Every bench accepts "--key=value" overrides (see util/config.hpp);
 // common knobs: ranks, ranks_per_node (c), net (loggp|contention),
 // progress (default|async), contexts (rho), consistency
-// (target|region), seed.
+// (target|region), seed. Each main calls Config::reject_unused after
+// its last read, so a key nothing read (a typo) fails the run.
 #pragma once
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "coll/selection.hpp"
 #include "core/comm.hpp"
 #include "core/report_json.hpp"
 #include "core/world.hpp"
@@ -58,7 +60,7 @@ inline armci::WorldConfig make_world_config(const Config& cli, int default_ranks
   // unless the fault plan also schedules node deaths. The checkpoint
   // cadence (--ft.checkpoint_interval) is app-level — benches that run
   // SCF pick it up from the same parse via ft::RuntimeConfig.
-  cfg.machine.ft = ft::RuntimeConfig::from_config(cli).liveness;
+  cfg.machine.ft = ft::RuntimeConfig::from_config(cli);
   // Overload-control knobs (--flow.credits, --flow.deadline_us,
   // --flow.admit ...). All off by default — with flow.* unset no
   // controller is built and runs stay byte-identical.
@@ -71,6 +73,9 @@ inline armci::WorldConfig make_world_config(const Config& cli, int default_ranks
       cfg.armci.coll.emplace_back(key.substr(5), cli.get_string(key, ""));
     }
   }
+  // Parsed here too, so a mistyped coll.* key fails before the run even
+  // in a bench that never builds a collectives engine.
+  coll::CollConfig::from_options(cfg.armci);
   // The async runtime has no knobs; a stale --async.* key (e.g. the old
   // --async.scf_overlap, now ScfConfig::overlap) must not pass silently.
   cli.reject_unknown("async", {});
@@ -78,6 +83,9 @@ inline armci::WorldConfig make_world_config(const Config& cli, int default_ranks
   // --obs.link_bucket_us, --obs.link_top, --obs.link_csv. All off by
   // default — untraced runs stay byte-identical.
   pami::configure_observability(cli, cfg.machine);
+  // Read here too (emit_observability writes it) so a mistyped report.*
+  // key fails before the run, not after it.
+  armci::json_report_path_from_config(cli);
   return cfg;
 }
 

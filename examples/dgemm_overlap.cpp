@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
                               : armci::ConsistencyMode::kPerRegion;
 
   cfg.machine.fault = fault::FaultPlan::from_config(cli);
+  cli.reject_unused();
   armci::World world(cfg);
   double checksum = 0.0;
   Time wall = 0;

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(cli.get_int("steps", 4));
 
   cfg.machine.fault = fault::FaultPlan::from_config(cli);
+  cli.reject_unused();
   armci::World world(cfg);
   Time wall = 0;
   double sample = 0.0;

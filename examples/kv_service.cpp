@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   armci::WorldConfig cfg;
   cfg.machine.num_ranks = static_cast<int>(cli.get_int("ranks", 32));
   cfg.machine.fault = fault::FaultPlan::from_config(cli);
-  cfg.machine.ft = ft::RuntimeConfig::from_config(cli).liveness;
+  cfg.machine.ft = ft::RuntimeConfig::from_config(cli);
+  cli.reject_unused();
   armci::World world(cfg);
 
   const kvs::KvResult r = kvs::run_workload(world, kc);

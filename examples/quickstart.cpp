@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   }
 
   cfg.machine.fault = fault::FaultPlan::from_config(cli);
+  cli.reject_unused();
   armci::World world(cfg);
   world.spmd([](armci::Comm& comm) {
     const int me = comm.rank();

@@ -21,14 +21,12 @@ using namespace pgasq;
 
 namespace {
 
-apps::ScfResult run_mode(const Config& cli, armci::ProgressMode mode,
-                         const apps::ScfConfig& scf, bool observe) {
+/// The machine both runs share, read once from the command line.
+armci::WorldConfig world_config(const Config& cli) {
   armci::WorldConfig cfg;
   cfg.machine.num_ranks = static_cast<int>(cli.get_int("ranks", 64));
   cfg.machine.ranks_per_node =
       static_cast<int>(cli.get_int("ranks_per_node", cfg.machine.num_ranks >= 16 ? 16 : 1));
-  cfg.armci.progress = mode;
-  cfg.armci.contexts_per_rank = mode == armci::ProgressMode::kAsyncThread ? 2 : 1;
   cfg.machine.fault = fault::FaultPlan::from_config(cli);
   // End-to-end integrity knobs (--integrity.verify etc.); the layer
   // also self-arms whenever --fault.corrupt_prob is set.
@@ -41,21 +39,19 @@ apps::ScfResult run_mode(const Config& cli, armci::ProgressMode mode,
       cfg.armci.coll.emplace_back(key.substr(5), cli.get_string(key, ""));
     }
   }
-  // Fail-stop knobs: with --fault.node_fail=node:at_us scheduled, the
-  // run checkpoints and survives the death (docs/faults.md).
-  cfg.machine.ft = ft::RuntimeConfig::from_config(cli).liveness;
-  // --trace.json_path / --obs.* / --report.json_path apply to the AT
-  // run only (`observe`), so one invocation yields one trace.
-  if (observe) pami::configure_observability(cli, cfg.machine);
+  return cfg;
+}
+
+apps::ScfResult run_mode(armci::WorldConfig cfg, armci::ProgressMode mode,
+                         const apps::ScfConfig& scf, const std::string& report) {
+  cfg.armci.progress = mode;
+  cfg.armci.contexts_per_rank = mode == armci::ProgressMode::kAsyncThread ? 2 : 1;
   armci::World world(cfg);
   apps::ScfResult result = apps::run_scf(world, scf);
-  if (observe) {
-    const std::string report = armci::json_report_path_from_config(cli);
-    if (!report.empty()) armci::write_json_report(world, report);
-    if (const obs::LinkUsage* lu = world.machine().link_usage()) {
-      if (!cfg.machine.obs.link_csv.empty()) {
-        lu->write_csv(cfg.machine.obs.link_csv);
-      }
+  if (!report.empty()) armci::write_json_report(world, report);
+  if (const obs::LinkUsage* lu = world.machine().link_usage()) {
+    if (!cfg.machine.obs.link_csv.empty()) {
+      lu->write_csv(cfg.machine.obs.link_csv);
     }
   }
   return result;
@@ -70,13 +66,23 @@ int main(int argc, char** argv) {
   scf.block = cli.get_int("block", 8);
   scf.iterations = static_cast<int>(cli.get_int("iterations", 2));
   scf.mean_task_compute = from_us(cli.get_double("task_us", 2000.0));
-  scf.ft_checkpoint_interval =
-      ft::RuntimeConfig::from_config(cli).checkpoint_interval;
+  // Fail-stop knobs: with --fault.node_fail=node:at_us scheduled, the
+  // run checkpoints and survives the death (docs/faults.md).
+  const ft::RuntimeConfig ft_cfg = ft::RuntimeConfig::from_config(cli);
+  scf.ft_checkpoint_interval = ft_cfg.checkpoint_interval;
   scf.distributed_guess = cli.get_bool("distributed_guess", false);
   // Overlapped reduction tail (docs/async.md). The async runtime has no
   // knobs, so a stale --async.scf_overlap=1 is rejected, not ignored.
   scf.overlap = cli.get_bool("overlap", false);
   cli.reject_unknown("async", {});
+  armci::WorldConfig base = world_config(cli);
+  base.machine.ft = ft_cfg;
+  // --trace.json_path / --obs.* / --report.json_path apply to the AT
+  // run only, so one invocation yields one trace.
+  armci::WorldConfig observed = base;
+  pami::configure_observability(cli, observed.machine);
+  const std::string report = armci::json_report_path_from_config(cli);
+  cli.reject_unused();
 
   std::printf("SCF Fock build (Fig 10): %lld basis functions, %lld-wide blocks,\n"
               "%lld tasks/iteration, %d iterations, ~%.0f us per task\n\n",
@@ -89,10 +95,10 @@ int main(int argc, char** argv) {
               "    f   = do_work(d)                   # 2e-integral contraction\n"
               "    ga_acc(F, block pair of t, f)      # accumulate Fock matrix\n\n");
 
-  const auto d = run_mode(cli, armci::ProgressMode::kDefault, scf, false);
-  const auto at = run_mode(cli, armci::ProgressMode::kAsyncThread, scf, true);
+  const auto d = run_mode(base, armci::ProgressMode::kDefault, scf, "");
+  const auto at = run_mode(observed, armci::ProgressMode::kAsyncThread, scf, report);
 
-  auto report = [](const char* name, const apps::ScfResult& r) {
+  auto print_result = [](const char* name, const apps::ScfResult& r) {
     // fock_bits is the checksum's raw IEEE-754 pattern: %.6f rounds
     // away single-bit corruption, so the chaos soak compares this.
     std::uint64_t fock_bits = 0;
@@ -102,8 +108,8 @@ int main(int argc, char** argv) {
                 name, to_ms(r.wall_time), to_ms(r.counter_time), to_ms(r.get_time),
                 r.fock_checksum, static_cast<unsigned long long>(fock_bits));
   };
-  report("Default (D):", d);
-  report("Async thread (AT):", at);
+  print_result("Default (D):", d);
+  print_result("Async thread (AT):", at);
   std::printf("\nAT cuts execution time by %.1f%% — rank 0 no longer has to reach\n"
               "an explicit progress call before the counter is serviced (S III-D).\n",
               100.0 * (to_ms(d.wall_time) - to_ms(at.wall_time)) / to_ms(d.wall_time));

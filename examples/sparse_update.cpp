@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
       cfg.armci.coll.emplace_back(key.substr(5), cli.get_string(key, ""));
     }
   }
+  cli.reject_unused();
   armci::World world(cfg);
   double total = 0.0;
   double expected = 0.0;

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   const std::int64_t capacity = 4 * tasks_per_rank;
 
   cfg.machine.fault = fault::FaultPlan::from_config(cli);
+  cli.reject_unused();
   armci::World world(cfg);
   Time wall = 0;
   std::int64_t executed_total = 0;

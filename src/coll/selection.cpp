@@ -1,7 +1,5 @@
 #include "coll/selection.hpp"
 
-#include <cstdlib>
-
 #include "util/config.hpp"
 #include "util/error.hpp"
 
@@ -27,19 +25,6 @@ Algo parse_algo(const std::string& name) {
 
 namespace {
 
-double parse_double(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  PGASQ_CHECK(end != value.c_str() && *end == '\0' && v >= 0.0,
-              << "coll." << key << " = '" << value << "' is not a number");
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  const double v = parse_double(key, value);
-  return static_cast<std::uint64_t>(v);
-}
-
 /// coll.algo.<op> keys address ops by their report name.
 int op_index(const std::string& name) {
   for (int op = 0; op < armci::CollStats::kOps; ++op) {
@@ -52,33 +37,17 @@ int op_index(const std::string& name) {
 
 CollConfig CollConfig::from_options(const armci::Options& options) {
   CollConfig c;
+  Config knobs;
   for (const auto& [key, value] : options.coll) {
     if (key.rfind("algo.", 0) == 0) {
       const int op = op_index(key.substr(5));
       PGASQ_CHECK(op >= 0, << "coll." << key << ": unknown collective");
       c.force[op] = parse_algo(value);
-    } else if (key == "hw") {
-      c.hw_enabled = parse_bool("coll.hw", value);
-    } else if (key == "hw_gbps") {
-      c.hw_gbps = parse_double(key, value);
-    } else if (key == "hw_hop_ns") {
-      c.hw_hop_ns = parse_double(key, value);
-    } else if (key == "hw_startup_us") {
-      c.hw_startup_us = parse_double(key, value);
-    } else if (key == "small_bytes") {
-      c.small_bytes = parse_u64(key, value);
-    } else if (key == "ring_min_bytes") {
-      c.ring_min_bytes = parse_u64(key, value);
-    } else if (key == "ring_min_ranks") {
-      c.ring_min_ranks = static_cast<int>(parse_u64(key, value));
-    } else if (key == "hier_min_ppn") {
-      c.hier_min_ppn = static_cast<int>(parse_u64(key, value));
-    } else if (key == "bcast_segment_bytes") {
-      c.bcast_segment_bytes = parse_u64(key, value);
     } else {
-      PGASQ_CHECK(false, << "unknown option coll." << key);
+      knobs.set("coll." + key, value);
     }
   }
+  parse_knobs(knobs, "coll", kCollKnobs, c);
   return c;
 }
 

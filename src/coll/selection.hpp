@@ -14,6 +14,7 @@
 #include <string>
 
 #include "core/types.hpp"
+#include "util/knobs.hpp"
 
 namespace pgasq::coll {
 
@@ -118,6 +119,19 @@ struct CollConfig {
   /// back when p is not a power of two and the op has no fold step,
   /// and the hardware model is refused while torus links are failed.
   Algo normalize(Op op, Algo algo, const Geometry& g) const;
+};
+
+/// The coll.* knobs; coll.algo.<op> is parsed by hand (from_options).
+inline constexpr Knob<CollConfig> kCollKnobs[] = {
+    {"hw", &CollConfig::hw_enabled},
+    {"hw_gbps", &CollConfig::hw_gbps, 0},
+    {"hw_hop_ns", &CollConfig::hw_hop_ns, 0},
+    {"hw_startup_us", &CollConfig::hw_startup_us, 0},
+    {"small_bytes", &CollConfig::small_bytes, 0},
+    {"ring_min_bytes", &CollConfig::ring_min_bytes, 0},
+    {"ring_min_ranks", &CollConfig::ring_min_ranks, 0},
+    {"hier_min_ppn", &CollConfig::hier_min_ppn, 0},
+    {"bcast_segment_bytes", &CollConfig::bcast_segment_bytes, 0},
 };
 
 }  // namespace pgasq::coll

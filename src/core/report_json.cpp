@@ -177,8 +177,9 @@ void write_json_report(const World& world, const std::string& path) {
 }
 
 std::string json_report_path_from_config(const Config& cfg) {
-  cfg.reject_unknown("report", {"json_path"});
-  return cfg.get_string("report.json_path", "");
+  ReportConfig c;
+  parse_knobs(cfg, "report", kReportKnobs, c);
+  return c.json_path;
 }
 
 }  // namespace pgasq::armci

@@ -11,7 +11,7 @@
 #include "core/world.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
-#include "util/config.hpp"
+#include "util/knobs.hpp"
 
 namespace pgasq::armci {
 
@@ -32,7 +32,16 @@ obs::Json render_json_report(const World& world);
 /// Writes render_json_report to `path`; throws on I/O failure.
 void write_json_report(const World& world, const std::string& path);
 
-/// Parses the report.* namespace (report.json_path), rejecting unknown
+struct ReportConfig {
+  /// Non-empty: where the bench writes render_json_report.
+  std::string json_path;
+};
+
+inline constexpr Knob<ReportConfig> kReportKnobs[] = {
+    {"json_path", &ReportConfig::json_path},
+};
+
+/// Parses the report.* namespace (kReportKnobs), rejecting unknown
 /// report.* keys with a typo suggestion. Empty = no JSON report.
 std::string json_report_path_from_config(const Config& cfg);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "sim/trace.hpp"
 #include "util/config.hpp"
@@ -14,50 +15,13 @@ namespace pgasq::fault {
 
 namespace {
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
+int parse_int32(const std::string& key, const std::string& s) {
+  const std::int64_t v = parse_int(key, s);
+  PGASQ_CHECK(std::in_range<int>(v), << key << ": '" << s << "' does not fit an int");
+  return static_cast<int>(v);
 }
 
-int parse_int(const std::string& s, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(s, &pos);
-    PGASQ_CHECK(pos == s.size(), << what << ": trailing characters in '" << s << "'");
-    return v;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    PGASQ_CHECK(false, << what << ": cannot parse integer '" << s << "'");
-  }
-  return 0;
-}
-
-double parse_double(const std::string& s, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    PGASQ_CHECK(pos == s.size(), << what << ": trailing characters in '" << s << "'");
-    return v;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    PGASQ_CHECK(false, << what << ": cannot parse number '" << s << "'");
-  }
-  return 0;
-}
-
-int parse_dir(const std::string& s, const char* what) {
+int parse_dir(const std::string& s, const std::string& what) {
   if (s == "+" || s == "+1") return 1;
   if (s == "-" || s == "-1") return -1;
   if (s == "*" || s == "0") return 0;
@@ -68,24 +32,24 @@ int parse_dir(const std::string& s, const char* what) {
 /// Parses "node:dim:dir[:from_us:until_us]" (capacity fixed) or
 /// "node:dim:dir:capacity[:from_us:until_us]" (with_capacity).
 LinkFaultSpec parse_link_spec(const std::string& spec, bool with_capacity,
-                              const char* what) {
+                              const std::string& what) {
   const auto f = split(spec, ':');
   const std::size_t base = with_capacity ? 4 : 3;
   PGASQ_CHECK(f.size() == base || f.size() == base + 2,
               << what << ": expected " << base << " or " << base + 2
               << " ':'-separated fields in '" << spec << "'");
   LinkFaultSpec out;
-  out.node = parse_int(f[0], what);
-  out.dim = parse_int(f[1], what);
+  out.node = parse_int32(what, f[0]);
+  out.dim = parse_int32(what, f[1]);
   out.dir = parse_dir(f[2], what);
   if (with_capacity) {
-    out.capacity = parse_double(f[3], what);
+    out.capacity = parse_double(what, f[3]);
     PGASQ_CHECK(out.capacity > 0.0 && out.capacity < 1.0,
                 << what << ": degrade capacity must be in (0,1), got " << out.capacity);
   }
   if (f.size() == base + 2) {
-    out.begin = from_us(parse_double(f[base], what));
-    out.end = from_us(parse_double(f[base + 1], what));
+    out.begin = from_us(parse_double(what, f[base]));
+    out.end = from_us(parse_double(what, f[base + 1]));
     PGASQ_CHECK(out.begin < out.end, << what << ": empty window in '" << spec << "'");
   }
   return out;
@@ -93,96 +57,51 @@ LinkFaultSpec parse_link_spec(const std::string& spec, bool with_capacity,
 
 }  // namespace
 
+void parse_corrupt_window(FaultPlan& plan, const std::string& key,
+                          const std::string& spec) {
+  const auto f = split(spec, ':');
+  PGASQ_CHECK(f.size() == 2, << key << ": expected from_us:until_us in '" << spec << "'");
+  const CorruptWindow w{from_us(parse_double(key, f[0])),
+                        from_us(parse_double(key, f[1]))};
+  PGASQ_CHECK(w.begin < w.end, << key << ": empty window in '" << spec << "'");
+  plan.corrupt_windows.push_back(w);
+}
+
+void parse_link_fail(FaultPlan& plan, const std::string& key, const std::string& spec) {
+  plan.link_faults.push_back(parse_link_spec(spec, /*with_capacity=*/false, key));
+}
+
+void parse_link_degrade(FaultPlan& plan, const std::string& key,
+                        const std::string& spec) {
+  plan.link_faults.push_back(parse_link_spec(spec, /*with_capacity=*/true, key));
+}
+
+void parse_stall(FaultPlan& plan, const std::string& key, const std::string& spec) {
+  const auto f = split(spec, ':');
+  PGASQ_CHECK(f.size() == 3,
+              << key << ": expected rank:from_us:until_us in '" << spec << "'");
+  const StallSpec s{parse_int32(key, f[0]), from_us(parse_double(key, f[1])),
+                    from_us(parse_double(key, f[2]))};
+  PGASQ_CHECK(s.begin < s.end, << key << ": empty window in '" << spec << "'");
+  plan.stalls.push_back(s);
+}
+
+void parse_node_fail(FaultPlan& plan, const std::string& key, const std::string& spec) {
+  const auto f = split(spec, ':');
+  PGASQ_CHECK(f.size() == 2, << key << ": expected node:at_us in '" << spec << "'");
+  plan.node_fails.push_back({parse_int32(key, f[0]), from_us(parse_double(key, f[1]))});
+}
+
 FaultPlan FaultPlan::from_config(const Config& cfg) {
-  cfg.reject_unknown("fault",
-                     {"seed", "drop_prob", "corrupt_prob", "corrupt_bits",
-                      "corrupt_window", "link_fail", "link_degrade", "stall",
-                      "node_fail", "ack_timeout_us", "backoff_factor",
-                      "max_backoff_us", "retry_budget", "backoff_jitter"});
   FaultPlan plan;
-  plan.seed = static_cast<std::uint64_t>(cfg.get_int("fault.seed", 1));
-  plan.drop_prob = cfg.get_double("fault.drop_prob", 0.0);
-  plan.corrupt_prob = cfg.get_double("fault.corrupt_prob", 0.0);
-  plan.corrupt_bits = cfg.get_int("fault.corrupt_bits", 1);
-  PGASQ_CHECK(plan.drop_prob >= 0.0 && plan.drop_prob < 1.0,
-              << "fault.drop_prob = " << plan.drop_prob);
-  PGASQ_CHECK(plan.corrupt_prob >= 0.0 && plan.corrupt_prob < 1.0,
-              << "fault.corrupt_prob = " << plan.corrupt_prob);
+  parse_knobs(cfg, "fault", kFaultKnobs, plan);
   PGASQ_CHECK(plan.drop_prob + plan.corrupt_prob < 1.0,
               << "fault.drop_prob + fault.corrupt_prob must stay below 1");
-  PGASQ_CHECK(plan.corrupt_bits >= 1 && plan.corrupt_bits <= 64,
-              << "fault.corrupt_bits must be in [1,64], got " << plan.corrupt_bits);
-  const std::string windows = cfg.get_string("fault.corrupt_window", "");
-  if (!windows.empty()) {
-    for (const auto& spec : split(windows, ',')) {
-      const auto f = split(spec, ':');
-      PGASQ_CHECK(f.size() == 2,
-                  << "fault.corrupt_window: expected from_us:until_us in '"
-                  << spec << "'");
-      CorruptWindow w;
-      w.begin = from_us(parse_double(f[0], "fault.corrupt_window"));
-      w.end = from_us(parse_double(f[1], "fault.corrupt_window"));
-      PGASQ_CHECK(w.begin < w.end,
-                  << "fault.corrupt_window: empty window in '" << spec << "'");
-      plan.corrupt_windows.push_back(w);
-    }
-  }
-
-  const std::string fails = cfg.get_string("fault.link_fail", "");
-  if (!fails.empty()) {
-    for (const auto& spec : split(fails, ',')) {
-      plan.link_faults.push_back(
-          parse_link_spec(spec, /*with_capacity=*/false, "fault.link_fail"));
-    }
-  }
-  const std::string degrades = cfg.get_string("fault.link_degrade", "");
-  if (!degrades.empty()) {
-    for (const auto& spec : split(degrades, ',')) {
-      plan.link_faults.push_back(
-          parse_link_spec(spec, /*with_capacity=*/true, "fault.link_degrade"));
-    }
-  }
-  const std::string stalls = cfg.get_string("fault.stall", "");
-  if (!stalls.empty()) {
-    for (const auto& spec : split(stalls, ',')) {
-      const auto f = split(spec, ':');
-      PGASQ_CHECK(f.size() == 3, << "fault.stall: expected rank:from_us:until_us in '"
-                                 << spec << "'");
-      StallSpec s;
-      s.rank = parse_int(f[0], "fault.stall");
-      s.begin = from_us(parse_double(f[1], "fault.stall"));
-      s.end = from_us(parse_double(f[2], "fault.stall"));
-      PGASQ_CHECK(s.begin < s.end, << "fault.stall: empty window in '" << spec << "'");
-      plan.stalls.push_back(s);
-    }
-  }
-
-  const std::string node_fails = cfg.get_string("fault.node_fail", "");
-  if (!node_fails.empty()) {
-    for (const auto& spec : split(node_fails, ',')) {
-      const auto f = split(spec, ':');
-      PGASQ_CHECK(f.size() == 2,
-                  << "fault.node_fail: expected node:at_us in '" << spec << "'");
-      NodeFailSpec n;
-      n.node = parse_int(f[0], "fault.node_fail");
-      n.at = from_us(parse_double(f[1], "fault.node_fail"));
-      plan.node_fails.push_back(n);
-    }
-  }
-
-  plan.ack_timeout = from_us(cfg.get_double("fault.ack_timeout_us", 10.0));
-  plan.backoff_factor = cfg.get_double("fault.backoff_factor", 2.0);
-  plan.max_backoff = from_us(cfg.get_double("fault.max_backoff_us", 320.0));
-  plan.retry_budget = static_cast<std::uint64_t>(cfg.get_int("fault.retry_budget", 64));
-  plan.backoff_jitter = cfg.get_double("fault.backoff_jitter", 0.0);
   PGASQ_CHECK(plan.ack_timeout > 0, << "fault.ack_timeout_us must be positive");
-  PGASQ_CHECK(plan.backoff_factor >= 1.0,
-              << "fault.backoff_factor = " << plan.backoff_factor);
   PGASQ_CHECK(plan.max_backoff >= plan.ack_timeout,
               << "fault.max_backoff_us below fault.ack_timeout_us");
-  PGASQ_CHECK(plan.backoff_jitter >= 0.0 && plan.backoff_jitter < 1.0,
-              << "fault.backoff_jitter must be in [0,1), got "
-              << plan.backoff_jitter);
+  PGASQ_CHECK(plan.backoff_jitter < 1.0,
+              << "fault.backoff_jitter must be in [0,1), got " << plan.backoff_jitter);
   return plan;
 }
 

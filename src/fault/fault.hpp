@@ -32,11 +32,11 @@
 #include "obs/fields.hpp"
 #include "topo/torus.hpp"
 #include "util/error.hpp"
+#include "util/knobs.hpp"
 #include "util/rng.hpp"
 #include "util/time_types.hpp"
 
 namespace pgasq {
-class Config;
 
 /// Escalated fault: a wire leg exhausted its context's retry budget
 /// (or the fabric is partitioned beyond route-around). Carries the
@@ -176,20 +176,44 @@ struct FaultPlan {
            !stalls.empty() || !node_fails.empty();
   }
 
-  /// Parses the `fault.*` keys of a Config:
-  ///   fault.seed, fault.drop_prob, fault.corrupt_prob,
-  ///   fault.corrupt_bits,
+  /// Parses the `fault.*` keys of a Config (kFaultKnobs). The list
+  /// keys take comma-separated specs:
   ///   fault.corrupt_window = "from_us:until_us",...
   ///   fault.link_fail   = "node:dim:dir[:from_us:until_us]",...
   ///   fault.link_degrade= "node:dim:dir:capacity[:from_us:until_us]",...
   ///   fault.stall       = "rank:from_us:until_us",...
   ///   fault.node_fail   = "node:at_us",...
-  ///   fault.ack_timeout_us, fault.backoff_factor, fault.max_backoff_us,
-  ///   fault.retry_budget, fault.backoff_jitter
   /// where dir is '+', '-' or '*' (both directions of the cable).
-  /// Misspelled fault.* keys are rejected with a typo suggestion
-  /// (Config::reject_unknown).
+  /// Misspelled fault.* keys are rejected with a typo suggestion.
   static FaultPlan from_config(const Config& cfg);
+};
+
+/// Grammars of one comma-separated item of each list-valued fault.*
+/// key; each appends the parsed spec to `plan`.
+void parse_corrupt_window(FaultPlan& plan, const std::string& key,
+                          const std::string& spec);
+void parse_link_fail(FaultPlan& plan, const std::string& key, const std::string& spec);
+void parse_link_degrade(FaultPlan& plan, const std::string& key, const std::string& spec);
+void parse_stall(FaultPlan& plan, const std::string& key, const std::string& spec);
+void parse_node_fail(FaultPlan& plan, const std::string& key, const std::string& spec);
+
+/// The fault.* knobs. link_fail precedes link_degrade: both append to
+/// link_faults in this order.
+inline constexpr Knob<FaultPlan> kFaultKnobs[] = {
+    {"seed", &FaultPlan::seed, 0},
+    {"drop_prob", &FaultPlan::drop_prob, 0, 1},
+    {"corrupt_prob", &FaultPlan::corrupt_prob, 0, 1},
+    {"corrupt_bits", &FaultPlan::corrupt_bits, 1, 64},
+    {"corrupt_window", &parse_corrupt_window},
+    {"link_fail", &parse_link_fail},
+    {"link_degrade", &parse_link_degrade},
+    {"stall", &parse_stall},
+    {"node_fail", &parse_node_fail},
+    {"ack_timeout_us", Micros{&FaultPlan::ack_timeout}, 0},
+    {"backoff_factor", &FaultPlan::backoff_factor, 1},
+    {"max_backoff_us", Micros{&FaultPlan::max_backoff}, 0},
+    {"retry_budget", &FaultPlan::retry_budget, 0},
+    {"backoff_jitter", &FaultPlan::backoff_jitter, 0, 1},
 };
 
 /// Counters aggregated by the injector across the whole machine; the

@@ -33,10 +33,10 @@
 #include <cstdint>
 
 #include "obs/fields.hpp"
+#include "util/knobs.hpp"
 #include "util/time_types.hpp"
 
 namespace pgasq {
-class Config;
 
 namespace fault {
 
@@ -60,10 +60,24 @@ struct IntegrityConfig {
   double crc_setup_ns = 20.0;
   double crc_ns_per_byte = 0.005;
 
-  /// Parses integrity.* keys; misspelled keys are rejected with a typo
-  /// suggestion (Config::reject_unknown).
+  /// Parses integrity.* keys (kIntegrityKnobs); misspelled keys are
+  /// rejected with a typo suggestion.
   static IntegrityConfig from_config(const Config& cfg);
 };
+
+inline constexpr Knob<IntegrityConfig> kIntegrityKnobs[] = {
+    {"verify", &IntegrityConfig::verify},
+    {"coll_check", &IntegrityConfig::coll_check},
+    {"ckpt_digest", &IntegrityConfig::ckpt_digest},
+    {"crc_setup_ns", &IntegrityConfig::crc_setup_ns, 0},
+    {"crc_ns_per_byte", &IntegrityConfig::crc_ns_per_byte, 0},
+};
+
+inline IntegrityConfig IntegrityConfig::from_config(const Config& cfg) {
+  IntegrityConfig out;
+  out.configured = parse_knobs(cfg, "integrity", kIntegrityKnobs, out);
+  return out;
+}
 
 /// Counters for the report's "end-to-end integrity" table. Detected
 /// corruptions must equal the injector's packets_corrupted under

@@ -2,7 +2,6 @@
 
 #include "obs/timeline.hpp"
 #include "sim/trace.hpp"
-#include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -17,42 +16,14 @@ std::uint64_t splitmix64_of(std::uint64_t v) {
 }  // namespace
 
 FlowConfig FlowConfig::from_config(const Config& cfg) {
-  cfg.reject_unknown("flow",
-                     {"credits", "deadline_us", "admit", "init_limit",
-                      "max_limit", "aimd_inc", "aimd_dec", "low_prio_frac",
-                      "retry_budget", "retry_backoff_us",
-                      "retry_max_backoff_us", "seed"});
   FlowConfig out;
-  out.configured =
-      cfg.has("flow.credits") || cfg.has("flow.deadline_us") ||
-      cfg.has("flow.admit") || cfg.has("flow.init_limit") ||
-      cfg.has("flow.max_limit") || cfg.has("flow.aimd_inc") ||
-      cfg.has("flow.aimd_dec") || cfg.has("flow.low_prio_frac") ||
-      cfg.has("flow.retry_budget") || cfg.has("flow.retry_backoff_us") ||
-      cfg.has("flow.retry_max_backoff_us") || cfg.has("flow.seed");
-  out.credits = static_cast<int>(cfg.get_int("flow.credits", 0));
-  out.deadline_us = cfg.get_double("flow.deadline_us", 0.0);
-  out.admit = cfg.get_bool("flow.admit", false);
-  out.init_limit = static_cast<int>(cfg.get_int("flow.init_limit", 4));
-  out.max_limit = static_cast<int>(cfg.get_int("flow.max_limit", 64));
-  out.aimd_inc = cfg.get_double("flow.aimd_inc", 1.0);
-  out.aimd_dec = cfg.get_double("flow.aimd_dec", 0.5);
-  out.low_prio_frac = cfg.get_double("flow.low_prio_frac", 0.0);
-  out.retry_budget = static_cast<int>(cfg.get_int("flow.retry_budget", 0));
-  out.retry_backoff_us = cfg.get_double("flow.retry_backoff_us", 2.0);
-  out.retry_max_backoff_us = cfg.get_double("flow.retry_max_backoff_us", 256.0);
-  out.seed = static_cast<std::uint64_t>(cfg.get_int("flow.seed", 1));
-  PGASQ_CHECK(out.credits >= 0, << "flow.credits = " << out.credits);
-  PGASQ_CHECK(out.deadline_us >= 0.0, << "flow.deadline_us = " << out.deadline_us);
-  PGASQ_CHECK(out.init_limit >= 1 && out.init_limit <= out.max_limit,
+  out.configured = parse_knobs(cfg, "flow", kFlowKnobs, out);
+  PGASQ_CHECK(out.init_limit <= out.max_limit,
               << "flow.init_limit " << out.init_limit << " vs flow.max_limit "
               << out.max_limit);
   PGASQ_CHECK(out.aimd_inc > 0.0, << "flow.aimd_inc = " << out.aimd_inc);
   PGASQ_CHECK(out.aimd_dec > 0.0 && out.aimd_dec < 1.0,
               << "flow.aimd_dec must be in (0,1), got " << out.aimd_dec);
-  PGASQ_CHECK(out.low_prio_frac >= 0.0 && out.low_prio_frac <= 1.0,
-              << "flow.low_prio_frac = " << out.low_prio_frac);
-  PGASQ_CHECK(out.retry_budget >= 0, << "flow.retry_budget = " << out.retry_budget);
   PGASQ_CHECK(out.retry_backoff_us > 0.0 &&
                   out.retry_backoff_us <= out.retry_max_backoff_us,
               << "flow.retry_backoff_us " << out.retry_backoff_us

@@ -47,10 +47,10 @@
 #include "fault/fault.hpp"
 #include "obs/fields.hpp"
 #include "util/histogram.hpp"
+#include "util/knobs.hpp"
 #include "util/time_types.hpp"
 
 namespace pgasq {
-class Config;
 
 namespace obs {
 class Timeline;
@@ -120,9 +120,24 @@ struct FlowConfig {
 
   Time deadline() const { return deadline_us > 0.0 ? from_us(deadline_us) : 0; }
 
-  /// Parse `flow.*` keys; unknown keys are rejected with a typo
-  /// suggestion (reject_unknown).
+  /// Parse `flow.*` keys (kFlowKnobs); unknown keys are rejected with
+  /// a typo suggestion.
   static FlowConfig from_config(const Config& config);
+};
+
+inline constexpr Knob<FlowConfig> kFlowKnobs[] = {
+    {"credits", &FlowConfig::credits, 0},
+    {"deadline_us", &FlowConfig::deadline_us, 0},
+    {"admit", &FlowConfig::admit},
+    {"init_limit", &FlowConfig::init_limit, 1},
+    {"max_limit", &FlowConfig::max_limit, 1},
+    {"aimd_inc", &FlowConfig::aimd_inc, 0},
+    {"aimd_dec", &FlowConfig::aimd_dec, 0, 1},
+    {"low_prio_frac", &FlowConfig::low_prio_frac, 0, 1},
+    {"retry_budget", &FlowConfig::retry_budget, 0},
+    {"retry_backoff_us", &FlowConfig::retry_backoff_us, 0},
+    {"retry_max_backoff_us", &FlowConfig::retry_max_backoff_us, 0},
+    {"seed", &FlowConfig::seed, 0},
 };
 
 /// Counters + occupancy histogram for the report. Mutated on hot paths

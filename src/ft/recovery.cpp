@@ -11,19 +11,9 @@
 namespace pgasq::ft {
 
 RuntimeConfig RuntimeConfig::from_config(const Config& cfg) {
-  cfg.reject_unknown("ft", {"checkpoint_interval", "suspect_acks",
-                            "heartbeat_period_us", "heartbeat_timeout_us"});
   RuntimeConfig c;
-  c.checkpoint_interval =
-      static_cast<int>(cfg.get_int("ft.checkpoint_interval", 1));
-  c.liveness.suspect_acks = static_cast<std::uint64_t>(
-      cfg.get_int("ft.suspect_acks",
-                  static_cast<std::int64_t>(c.liveness.suspect_acks)));
-  c.liveness.heartbeat_period =
-      from_us(cfg.get_double("ft.heartbeat_period_us", 50.0));
-  c.liveness.heartbeat_timeout =
-      from_us(cfg.get_double("ft.heartbeat_timeout_us", 200.0));
-  PGASQ_CHECK(c.liveness.heartbeat_timeout >= c.liveness.heartbeat_period,
+  parse_knobs(cfg, "ft", kFtKnobs, c);
+  PGASQ_CHECK(c.heartbeat_timeout >= c.heartbeat_period,
               << "ft.heartbeat_timeout_us must be >= ft.heartbeat_period_us");
   return c;
 }

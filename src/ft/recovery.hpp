@@ -42,7 +42,7 @@
 #include "core/comm.hpp"
 #include "ft/liveness.hpp"
 #include "ga/global_array.hpp"
-#include "util/config.hpp"
+#include "util/knobs.hpp"
 
 namespace pgasq::fault {
 class Integrity;
@@ -95,19 +95,25 @@ class ArrayShard final : public Shardable {
   ga::GlobalArray* array_;
 };
 
-/// `ft.*` configuration (see RuntimeConfig::from_config).
-struct RuntimeConfig {
+/// `ft.*` configuration: the machine's detection knobs (the
+/// LivenessConfig base, copied into pami::MachineConfig::ft) plus the
+/// application's checkpoint cadence.
+struct RuntimeConfig : LivenessConfig {
   /// Checkpoint every N application iterations (at the top of
   /// iteration i > 0 with i % N == 0); <= 0 disables checkpointing
   /// (recovery then restarts from the initial state).
   int checkpoint_interval = 1;
-  /// Detection knobs, forwarded into pami::MachineConfig::ft.
-  LivenessConfig liveness{};
 
-  /// Parses ft.checkpoint_interval / ft.suspect_acks /
-  /// ft.heartbeat_period_us / ft.heartbeat_timeout_us, rejecting
-  /// unknown ft.* keys with a typo suggestion.
+  /// Parses the ft.* namespace (kFtKnobs), rejecting unknown ft.* keys
+  /// with a typo suggestion.
   static RuntimeConfig from_config(const Config& cfg);
+};
+
+inline constexpr Knob<RuntimeConfig> kFtKnobs[] = {
+    {"checkpoint_interval", &RuntimeConfig::checkpoint_interval},
+    {"suspect_acks", &RuntimeConfig::suspect_acks, 0},
+    {"heartbeat_period_us", Micros<RuntimeConfig>{&RuntimeConfig::heartbeat_period}, 0},
+    {"heartbeat_timeout_us", Micros<RuntimeConfig>{&RuntimeConfig::heartbeat_timeout}, 0},
 };
 
 /// Per-rank recovery driver. Construct it (collectively, all world

@@ -63,53 +63,20 @@ double zeta(std::uint64_t n, double theta) {
 // Configuration
 // ---------------------------------------------------------------------------
 
-KvConfig KvConfig::from_config(const Config& cfg) {
-  cfg.reject_unknown("kvs", {"keys", "zipf_theta", "get_ratio", "faa_ratio",
-                             "requests", "think_us", "value_bytes",
-                             "slots_per_rank", "checkpoint_every", "seed",
-                             "conflict_free", "verify", "prefill",
-                             "arrival_rate", "hedge_us", "hedge_cancel",
-                             "slo_us", "stall_at_us", "stall_us"});
-  KvConfig c;
-  c.keys = cfg.get_int("kvs.keys", c.keys);
-  c.zipf_theta = cfg.get_double("kvs.zipf_theta", c.zipf_theta);
-  c.get_ratio = cfg.get_double("kvs.get_ratio", c.get_ratio);
-  c.faa_ratio = cfg.get_double("kvs.faa_ratio", c.faa_ratio);
-  c.requests = cfg.get_int("kvs.requests", c.requests);
-  c.think_us = cfg.get_double("kvs.think_us", c.think_us);
-  c.value_bytes = cfg.get_int("kvs.value_bytes", c.value_bytes);
-  c.slots_per_rank = cfg.get_int("kvs.slots_per_rank", c.slots_per_rank);
-  c.checkpoint_every = cfg.get_int("kvs.checkpoint_every", c.checkpoint_every);
-  c.seed = static_cast<std::uint64_t>(
-      cfg.get_int("kvs.seed", static_cast<std::int64_t>(c.seed)));
-  c.conflict_free = cfg.get_bool("kvs.conflict_free", c.conflict_free);
-  c.verify = cfg.get_bool("kvs.verify", c.verify);
-  c.prefill = cfg.get_bool("kvs.prefill", c.prefill);
-  c.arrival_rate = cfg.get_double("kvs.arrival_rate", c.arrival_rate);
-  c.hedge_us = cfg.get_double("kvs.hedge_us", c.hedge_us);
-  c.hedge_cancel = cfg.get_bool("kvs.hedge_cancel", c.hedge_cancel);
-  c.slo_us = cfg.get_double("kvs.slo_us", c.slo_us);
-  c.stall_at_us = cfg.get_double("kvs.stall_at_us", c.stall_at_us);
-  c.stall_us = cfg.get_double("kvs.stall_us", c.stall_us);
-  PGASQ_CHECK(c.keys >= 1, << "kvs.keys must be >= 1");
-  PGASQ_CHECK(c.zipf_theta >= 0.0 && c.zipf_theta < 1.0,
-              << "kvs.zipf_theta must be in [0, 1)");
-  PGASQ_CHECK(c.get_ratio >= 0.0 && c.faa_ratio >= 0.0 &&
-                  c.get_ratio + c.faa_ratio <= 1.0,
+KvConfig KvConfig::from_config(const Config& cfg, KvConfig c) {
+  parse_knobs(cfg, "kvs", kKvKnobs, c);
+  PGASQ_CHECK(c.zipf_theta < 1.0, << "kvs.zipf_theta must be in [0, 1)");
+  PGASQ_CHECK(c.get_ratio + c.faa_ratio <= 1.0,
               << "kvs.get_ratio + kvs.faa_ratio must be in [0, 1]");
-  PGASQ_CHECK(c.requests >= 0, << "kvs.requests must be >= 0");
-  PGASQ_CHECK(c.think_us >= 0.0, << "kvs.think_us must be >= 0");
-  PGASQ_CHECK(c.value_bytes >= 8 && c.value_bytes % 8 == 0,
+  PGASQ_CHECK(c.value_bytes % 8 == 0,
               << "kvs.value_bytes must be a positive multiple of 8");
-  PGASQ_CHECK(c.checkpoint_every >= 0, << "kvs.checkpoint_every must be >= 0");
-  PGASQ_CHECK(c.arrival_rate >= 0.0, << "kvs.arrival_rate must be >= 0");
-  PGASQ_CHECK(c.hedge_us >= 0.0, << "kvs.hedge_us must be >= 0");
-  PGASQ_CHECK(c.slo_us >= 0.0, << "kvs.slo_us must be >= 0");
-  PGASQ_CHECK(c.stall_at_us >= 0.0 && c.stall_us >= 0.0,
-              << "kvs.stall_at_us / kvs.stall_us must be >= 0");
   PGASQ_CHECK(c.stall_us == 0.0 || c.arrival_rate > 0.0,
               << "kvs.stall_us needs the open-loop driver (kvs.arrival_rate)");
   return c;
+}
+
+KvConfig KvConfig::from_config(const Config& cfg) {
+  return from_config(cfg, KvConfig{});
 }
 
 // ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@
 #include "obs/fields.hpp"
 #include "util/config.hpp"
 #include "util/histogram.hpp"
+#include "util/knobs.hpp"
 #include "util/rng.hpp"
 
 namespace pgasq::obs {
@@ -116,9 +117,32 @@ struct KvConfig {
   double stall_at_us = 0.0;
   double stall_us = 0.0;
 
-  /// Parses the kvs.* namespace, rejecting unknown keys with a typo
-  /// suggestion (matching the fault./ft./integrity. precedent).
+  /// Parses the kvs.* namespace (kKvKnobs) over `defaults`, rejecting
+  /// unknown keys with a typo suggestion.
+  static KvConfig from_config(const Config& cfg, KvConfig defaults);
   static KvConfig from_config(const Config& cfg);
+};
+
+inline constexpr Knob<KvConfig> kKvKnobs[] = {
+    {"keys", &KvConfig::keys, 1},
+    {"zipf_theta", &KvConfig::zipf_theta, 0, 1},
+    {"get_ratio", &KvConfig::get_ratio, 0, 1},
+    {"faa_ratio", &KvConfig::faa_ratio, 0, 1},
+    {"requests", &KvConfig::requests, 0},
+    {"think_us", &KvConfig::think_us, 0},
+    {"value_bytes", &KvConfig::value_bytes, 8},
+    {"slots_per_rank", &KvConfig::slots_per_rank, 0},
+    {"checkpoint_every", &KvConfig::checkpoint_every, 0},
+    {"seed", &KvConfig::seed, 0},
+    {"conflict_free", &KvConfig::conflict_free},
+    {"verify", &KvConfig::verify},
+    {"prefill", &KvConfig::prefill},
+    {"arrival_rate", &KvConfig::arrival_rate, 0},
+    {"hedge_us", &KvConfig::hedge_us, 0},
+    {"hedge_cancel", &KvConfig::hedge_cancel},
+    {"slo_us", &KvConfig::slo_us, 0},
+    {"stall_at_us", &KvConfig::stall_at_us, 0},
+    {"stall_us", &KvConfig::stall_us, 0},
 };
 
 /// Deterministic zipfian key generator (Gray et al.'s method, as in

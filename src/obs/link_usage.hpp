@@ -15,7 +15,7 @@
 
 #include "obs/json.hpp"
 #include "topo/torus.hpp"
-#include "util/config.hpp"
+#include "util/knobs.hpp"
 #include "util/time_types.hpp"
 
 namespace pgasq::obs {
@@ -50,11 +50,20 @@ struct Options {
   bool critpath = false;
   /// Rows per critical-path bottleneck table (obs.critpath_top).
   int critpath_top = 8;
+};
 
-  /// Parses the obs.* namespace from `cfg` over `defaults`; rejects
-  /// unknown obs.* keys with a typo suggestion.
-  static Options from_config(const Config& cfg, Options defaults);
-  static Options from_config(const Config& cfg);
+inline constexpr Knob<Options> kObsKnobs[] = {
+    {"links", &Options::links},
+    {"link_bucket_us", Micros{&Options::link_bucket}, 0},
+    {"link_top", &Options::link_top, 0},
+    {"link_csv", &Options::link_csv},
+    {"timeline", &Options::timeline},
+    {"timeline_bucket_us", Micros{&Options::timeline_bucket}, 0},
+    {"timeline_max_series", &Options::timeline_max_series, 0},
+    {"timeline_top", &Options::timeline_top, 0},
+    {"timeline_csv", &Options::timeline_csv},
+    {"critpath", &Options::critpath},
+    {"critpath_top", &Options::critpath_top, 0},
 };
 
 class LinkUsage {

@@ -123,20 +123,11 @@ bool Machine::rank_traced(RankId rank) const {
 }
 
 void configure_observability(const Config& cfg, MachineConfig& config) {
-  cfg.reject_unknown("trace",
-                     {"json_path", "max_events", "sample_ranks", "aggregate"});
-  config.trace_json_path = cfg.get_string("trace.json_path", config.trace_json_path);
-  const std::int64_t cap = cfg.get_int(
-      "trace.max_events", static_cast<std::int64_t>(config.trace_max_events));
-  PGASQ_CHECK(cap > 0, << "trace.max_events must be positive");
-  config.trace_max_events = static_cast<std::size_t>(cap);
-  const std::int64_t sample = cfg.get_int(
-      "trace.sample_ranks", static_cast<std::int64_t>(config.trace_sample_ranks));
-  PGASQ_CHECK(sample >= 0, << "trace.sample_ranks must be >= 0 (0 = all ranks)");
-  config.trace_sample_ranks = static_cast<int>(sample);
-  config.trace_aggregate =
-      cfg.get_bool("trace.aggregate", config.trace_aggregate);
-  config.obs = obs::Options::from_config(cfg, config.obs);
+  parse_knobs(cfg, "trace", kTraceKnobs, config);
+  parse_knobs(cfg, "obs", obs::kObsKnobs, config.obs);
+  // Every timeline knob lives under obs.*; a bare timeline.* key is
+  // always a misremembered namespace, never silently ignored.
+  cfg.reject_unknown("timeline", {});
 }
 
 Process& Machine::process(RankId rank) {

@@ -22,7 +22,7 @@
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
 #include "topo/torus.hpp"
-#include "util/config.hpp"
+#include "util/knobs.hpp"
 #include "util/rng.hpp"
 
 namespace pgasq::pami {
@@ -77,12 +77,15 @@ struct MachineConfig {
   flow::FlowConfig flow{};
 };
 
-/// Applies the trace.* and obs.* config namespaces onto `config`
-/// (rejecting unknown keys): trace.json_path, trace.max_events,
-/// trace.sample_ranks, trace.aggregate, obs.links, obs.link_bucket_us,
-/// obs.link_top, obs.link_csv, obs.timeline, obs.timeline_bucket_us,
-/// obs.timeline_max_series, obs.timeline_top, obs.timeline_csv,
-/// obs.critpath, obs.critpath_top.
+inline constexpr Knob<MachineConfig> kTraceKnobs[] = {
+    {"json_path", &MachineConfig::trace_json_path},
+    {"max_events", &MachineConfig::trace_max_events, 1},
+    {"sample_ranks", &MachineConfig::trace_sample_ranks, 0},
+    {"aggregate", &MachineConfig::trace_aggregate},
+};
+
+/// Applies the trace.* (kTraceKnobs) and obs.* (obs::kObsKnobs) config
+/// namespaces onto `config`, rejecting unknown keys.
 void configure_observability(const Config& cfg, MachineConfig& config);
 
 /// Pre-registered timeline series for the pami layer's hot paths (one

@@ -327,6 +327,30 @@ TEST(Selection, RejectsUnknownOptions) {
   armci::World maybe(make_cfg(2, 42, {{"hw", "maybe"}}));
   EXPECT_THROW(maybe.spmd([](armci::Comm& comm) { CollEngine::of(comm); }),
                Error);
+  // Typed rows: no truncation of fractional bytes, no uint64 -> int
+  // wrap, and a typo gets the namespace's suggestion.
+  auto rejects = [](const std::string& key, const std::string& value,
+                    const std::string& expect) {
+    armci::Options options;
+    options.coll.emplace_back(key, value);
+    try {
+      CollConfig::from_options(options);
+      ADD_FAILURE() << key << "=" << value << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(expect), std::string::npos) << e.what();
+    }
+  };
+  rejects("small_bytes", "2048.9", "coll.small_bytes");
+  rejects("ring_min_ranks", "1e10", "coll.ring_min_ranks");
+  rejects("ring_min_ranks", "10000000000", "coll.ring_min_ranks");
+  rejects("hw_gbps", "-2", "coll.hw_gbps");
+  rejects("hw_gbs", "2", "did you mean coll.hw_gbps?");
+  armci::Options ok;
+  ok.coll.emplace_back("small_bytes", "4096");
+  ok.coll.emplace_back("algo.allreduce", "recdbl");
+  const CollConfig c = CollConfig::from_options(ok);
+  EXPECT_EQ(c.small_bytes, 4096u);
+  EXPECT_EQ(c.force[static_cast<int>(Op::kAllreduce)], Algo::kRecdbl);
 }
 
 TEST(Selection, LinkFaultPlanDeselectsHardware) {

@@ -298,6 +298,30 @@ TEST(Flow, ConfigRejectsTyposAndBadValues) {
   Config bad_jitter;
   bad_jitter.set("fault.backoff_jitter", "1.0");
   EXPECT_THROW(fault::FaultPlan::from_config(bad_jitter), Error);
+
+  // Values the member type cannot hold are errors naming the key, not
+  // silent wraps: 2^32 + 1 credits used to become 1.
+  auto expect_bad_value = [](const char* key, const char* value, auto parse) {
+    Config cfg;
+    cfg.set(key, value);
+    try {
+      parse(cfg);
+      FAIL() << key << "=" << value << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  };
+  expect_bad_value("flow.credits", "4294967297", parse_flow);
+  expect_bad_value("flow.credits", "-1", parse_flow);
+  expect_bad_value("flow.init_limit", "0", parse_flow);
+  expect_bad_value("flow.low_prio_frac", "1.5", parse_flow);
+  expect_bad_value("flow.seed", "010x", parse_flow);
+  expect_bad_value("flow.seed", "-1", parse_flow);  // no wrap to 2^64 - 1
+  expect_bad_value("kvs.requests", "16.5", parse_kvs);
+  expect_bad_value("kvs.keys", "0", parse_kvs);
+  expect_bad_value("fault.corrupt_bits", "65", parse_fault);
+  expect_bad_value("fault.stall", "0:abc:5", parse_fault);
+  expect_bad_value("fault.node_fail", "4294967297:10", parse_fault);
 }
 
 }  // namespace

@@ -241,9 +241,9 @@ TEST(FtRuntimeConfig, ParsesAndRejectsUnknownKeys) {
   cfg.set("ft.heartbeat_timeout_us", "100");
   const ft::RuntimeConfig rc = ft::RuntimeConfig::from_config(cfg);
   EXPECT_EQ(rc.checkpoint_interval, 4);
-  EXPECT_EQ(rc.liveness.suspect_acks, 2u);
-  EXPECT_EQ(rc.liveness.heartbeat_period, from_us(25));
-  EXPECT_EQ(rc.liveness.heartbeat_timeout, from_us(100));
+  EXPECT_EQ(rc.suspect_acks, 2u);
+  EXPECT_EQ(rc.heartbeat_period, from_us(25));
+  EXPECT_EQ(rc.heartbeat_timeout, from_us(100));
 
   Config typo;
   typo.set("ft.checkpoint_intervall", "4");

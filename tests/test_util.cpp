@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "util/config.hpp"
 #include "util/rng.hpp"
@@ -136,6 +138,89 @@ TEST(Config, TypeErrors) {
   EXPECT_THROW(c.get_bool("x", false), Error);
   c.set("b", "on");
   EXPECT_TRUE(c.get_bool("b", false));
+  // Integers are decimal only: no octal or hex reading, no silent
+  // saturation, no fractional or exponent forms.
+  c.set("n", "010");
+  EXPECT_EQ(c.get_int("n", 0), 10);
+  c.set("n", "08");
+  EXPECT_EQ(c.get_int("n", 0), 8);
+  c.set("n", "-12");
+  EXPECT_EQ(c.get_int("n", 0), -12);
+  for (const char* bad : {"99999999999999999999", "0x10", "2048.9", "1e10", " 5",
+                          "5 ", ""}) {
+    c.set("n", bad);
+    EXPECT_THROW(c.get_int("n", 0), Error) << bad;
+  }
+  c.set("d", "1e-3");
+  EXPECT_DOUBLE_EQ(c.get_double("d", 0.0), 1e-3);
+  for (const char* bad : {"nan", "inf", "1e999", "0.5x", ""}) {
+    c.set("d", bad);
+    EXPECT_THROW(c.get_double("d", 0.0), Error) << bad;
+  }
+}
+
+TEST(Config, GetDoublesIsStrict) {
+  Config c;
+  EXPECT_EQ(c.get_doubles("thetas", {0.99, 0.0}), (std::vector<double>{0.99, 0.0}));
+  c.set("thetas", "0.5,1,0.25");
+  EXPECT_EQ(c.get_doubles("thetas", {}), (std::vector<double>{0.5, 1.0, 0.25}));
+  // A malformed element used to read as 0 (a uniform key draw).
+  for (const char* bad : {"0.99,abc", "0.99,", ",1", "0.9;0.5"}) {
+    c.set("thetas", bad);
+    try {
+      c.get_doubles("thetas", {});
+      FAIL() << bad << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("thetas"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Config, RejectsUnusedKeys) {
+  const char* argv[] = {"prog", "--ranks=4", "--rnaks=8", "--iter=3"};
+  const Config c = Config::from_args(4, const_cast<char**>(argv));
+  EXPECT_EQ(c.get_int("ranks", 2), 4);
+  try {
+    c.reject_unused();
+    FAIL() << "an unread key must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown option iter"), std::string::npos)
+        << e.what();
+  }
+  // A key that was asked for but is absent still counts as known, and
+  // is the suggestion for a near miss.
+  EXPECT_EQ(c.get_int("iters", 5), 5);
+  EXPECT_FALSE(c.has("iter_count"));
+  c.get_int("iter", 0);
+  try {
+    c.reject_unused();
+    FAIL() << "rnaks must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown option rnaks (did you mean ranks?)"),
+              std::string::npos)
+        << e.what();
+  }
+  c.has("rnaks");
+  EXPECT_NO_THROW(c.reject_unused());
+
+  // Nothing within edit distance 2: no suggestion.
+  Config far;
+  far.set("zzzzzz", "1");
+  far.get_int("ranks", 1);
+  try {
+    far.reject_unused();
+    FAIL() << "zzzzzz must be rejected";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).find("did you mean"), std::string::npos) << e.what();
+  }
+
+  // A stray positional token is rejected unless positional() was read.
+  const char* stray[] = {"prog", "--ranks=4", "extra"};
+  const Config p = Config::from_args(3, const_cast<char**>(stray));
+  p.get_int("ranks", 2);
+  EXPECT_THROW(p.reject_unused(), Error);
+  EXPECT_EQ(p.positional().size(), 1u);
+  EXPECT_NO_THROW(p.reject_unused());
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

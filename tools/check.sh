@@ -83,7 +83,7 @@ kvs_gate() {
   local dir="$1" out="${repo}/$1/kvs-gate"
   echo "=== kvs gate: ${dir}" >&2
   mkdir -p "${out}"
-  "${repo}/${dir}/bench/bench_abl_kvs" --ranks=32 --requests=16 \
+  "${repo}/${dir}/bench/bench_abl_kvs" --ranks=32 --kvs.requests=16 \
     --failstop_ranks=32 --fault.seed=5 --fault.drop_prob=0.005 \
     --fault.corrupt_prob=0.005 \
     "--report.json_path=${out}/BENCH_kvs_soak.json" >/dev/null
@@ -103,9 +103,9 @@ mixes = {(e.get("labels") or {}).get("mix") for e in m["kvs.acked_ops"]}
 assert {"zipfian", "uniform", "failstop"} <= mixes, mixes
 print(f"kvs soak OK: flips {det}/{inj} caught, mixes {sorted(mixes)}")
 PY
-  "${repo}/${dir}/bench/bench_abl_kvs" --ranks=24 --requests=16 \
+  "${repo}/${dir}/bench/bench_abl_kvs" --ranks=24 --kvs.requests=16 \
     --failstop=0 "--report.json_path=${out}/BENCH_kvs_a.json" >/dev/null
-  "${repo}/${dir}/bench/bench_abl_kvs" --ranks=24 --requests=16 \
+  "${repo}/${dir}/bench/bench_abl_kvs" --ranks=24 --kvs.requests=16 \
     --failstop=0 "--report.json_path=${out}/BENCH_kvs_b.json" >/dev/null
   python3 "${repo}/tools/bench_diff.py" --fail-over 0 \
     "${out}/BENCH_kvs_a.json" "${out}/BENCH_kvs_b.json"
@@ -237,7 +237,33 @@ PY
     "${out}/BENCH_async_a.json" "${out}/BENCH_async_b.json"
 }
 
+typo_gate() {
+  # Typo gate: a command line key that nothing reads (a typo) must fail
+  # the run with a suggestion instead of silently running the default
+  # design point (Config::reject_unused).
+  local dir="$1"
+  echo "=== typo gate: ${dir}" >&2
+  expect_typo "${repo}/${dir}/bench/bench_fig3_latency" --rnaks=4
+  expect_typo "${repo}/${dir}/examples/scf_walkthrough" --ranks=8 --overlp=1
+}
+
+expect_typo() {
+  local out
+  if out="$("$@" 2>&1)"; then
+    echo "typo gate: '$*' exited 0" >&2
+    exit 1
+  fi
+  grep -q "did you mean" <<<"${out}" || {
+    echo "typo gate: '$*' printed no suggestion:" >&2
+    echo "${out}" >&2
+    exit 1
+  }
+}
+
+# Every knob-table row (src/util/knobs.hpp) must have a docs mention.
+python3 "${repo}/tools/check_knob_docs.py" "${repo}"
 pass build-check
+typo_gate build-check
 obs_gate build-check
 async_gate build-check
 kvs_gate build-check

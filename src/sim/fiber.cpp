@@ -1,5 +1,7 @@
 #include "sim/fiber.hpp"
 
+#include <sys/mman.h>
+
 #include <cstring>
 
 #include "sim/engine.hpp"
@@ -21,8 +23,15 @@ Fiber::Fiber(Engine& engine, std::uint64_t id, std::string name,
       body_(std::move(body)),
       stack_bytes_(stack_bytes) {
   PGASQ_CHECK(stack_bytes_ >= 16 * 1024, << "fiber stack too small: " << stack_bytes_);
-  // Default-initialized char array: pages are committed only on touch.
-  stack_.reset(new char[stack_bytes_]);
+  // A private mapping per stack, not the heap: pages are committed only
+  // on touch and go back to the system when the fiber is destroyed, so
+  // the resident size of a run does not depend on where the allocator
+  // happened to place earlier, already-touched stacks.
+  void* stack = mmap(nullptr, stack_bytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  PGASQ_CHECK(stack != MAP_FAILED,
+              << "fiber stack mmap of " << stack_bytes_ << " bytes failed");
+  stack_.reset(static_cast<char*>(stack));
   std::memcpy(stack_.get(), &kStackCanary, sizeof kStackCanary);
 
   PGASQ_CHECK(getcontext(&context_) == 0);
@@ -37,6 +46,8 @@ Fiber::Fiber(Engine& engine, std::uint64_t id, std::string name,
 }
 
 Fiber::~Fiber() = default;
+
+void Fiber::StackUnmap::operator()(char* stack) const { munmap(stack, bytes); }
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
   const auto self = (static_cast<std::uintptr_t>(hi) << 32) |

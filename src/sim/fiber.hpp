@@ -45,7 +45,7 @@ class Fiber {
   };
 
   /// Default stack size. Rank programs in this code base are shallow;
-  /// the stack is allocated but not touched until used, so virtual
+  /// the stack is mapped but not touched until used, so virtual
   /// address space is the only per-fiber reservation.
   static constexpr std::size_t kDefaultStackBytes = 256 * 1024;
 
@@ -77,7 +77,12 @@ class Fiber {
   std::string name_;
   std::function<void()> body_;
   std::size_t stack_bytes_;
-  std::unique_ptr<char[]> stack_;
+  /// Releases a stack mapping of `bytes` bytes.
+  struct StackUnmap {
+    std::size_t bytes;
+    void operator()(char* stack) const;
+  };
+  std::unique_ptr<char, StackUnmap> stack_{nullptr, StackUnmap{stack_bytes_}};
   ucontext_t context_{};
   State state_ = State::kReady;
 };

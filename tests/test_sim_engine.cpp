@@ -1,6 +1,11 @@
 // Unit tests for the discrete-event engine and fibers.
 #include <gtest/gtest.h>
 
+#include <alloca.h>
+#include <malloc.h>
+
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -185,6 +190,40 @@ TEST(Fiber, CurrentTracksRunningFiber) {
   });
   engine.run();
   EXPECT_EQ(engine.current(), nullptr);
+}
+
+/// Resident memory of this process in KiB, from /proc/self/statm.
+long resident_kib() {
+  std::ifstream statm("/proc/self/statm");
+  long size_pages = 0;
+  long resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * 4;
+}
+
+TEST(Fiber, StackPagesGoBackWithTheEngine) {
+  // Have the allocator keep every freed block, as glibc does with
+  // stack-sized blocks once it has raised its thresholds in a long
+  // run. Touched stack pages must still leave with their fibers, or a
+  // run's resident size depends on where earlier stacks were placed.
+  mallopt(M_MMAP_THRESHOLD, 64 << 20);
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+  constexpr int kFibers = 32;
+  constexpr std::size_t kTouchBytes = 192 * 1024;
+  constexpr long kTouchedKib = kFibers * static_cast<long>(kTouchBytes / 1024);
+  const long before = resident_kib();
+  {
+    Engine engine;
+    for (int f = 0; f < kFibers; ++f) {
+      engine.spawn("deep" + std::to_string(f), [] {
+        auto* frame = static_cast<volatile char*>(alloca(kTouchBytes));
+        for (std::size_t i = 0; i < kTouchBytes; i += 4096) frame[i] = 1;
+      });
+    }
+    engine.run();
+    EXPECT_GT(resident_kib() - before, kTouchedKib * 3 / 4);
+  }
+  EXPECT_LT(resident_kib() - before, kTouchedKib / 2);
 }
 
 }  // namespace

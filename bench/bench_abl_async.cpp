@@ -47,11 +47,10 @@ int main(int argc, char** argv) {
   double energy[2] = {0.0, 0.0};
   std::unique_ptr<armci::World> last_world;
   for (int a = 0; a < 2; ++a) {
-    armci::WorldConfig cfg =
-        bench::make_world_config(cli, ranks, /*ranks_per_node=*/16);
     // Contention model by default: with LogGP's infinite fabric the
     // reduction barely costs anything and there is nothing to hide.
-    cfg.machine.network_model = cli.get_string("net", "contention");
+    armci::WorldConfig cfg = bench::make_world_config(
+        cli, ranks, /*ranks_per_node=*/16, /*default_net=*/"contention");
     // Both arms ride recursive doubling so the results are bitwise
     // comparable (appended last: overrides any --coll.algo.allreduce).
     cfg.armci.coll.emplace_back("algo.allreduce", "recdbl");

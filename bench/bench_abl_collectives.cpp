@@ -17,17 +17,19 @@ namespace {
 
 constexpr int kIters = 4;
 
-armci::WorldConfig coll_config(const Config& cli, int ranks, const char* op,
-                               const std::string& algo) {
-  armci::WorldConfig cfg = bench::make_world_config(cli, ranks,
-                                                    /*ranks_per_node=*/1);
+/// One sweep point: a copy of the command line's base config at `ranks`
+/// with `algo` pinned for `op`.
+armci::WorldConfig coll_config(const armci::WorldConfig& base, int ranks,
+                               const char* op, const std::string& algo) {
+  armci::WorldConfig cfg = base;
   cfg.machine.num_ranks = ranks;
   cfg.armci.coll.emplace_back(std::string("algo.") + op, algo);
   return cfg;
 }
 
-double barrier_us(const Config& cli, int ranks, const std::string& algo) {
-  armci::World world(coll_config(cli, ranks, "barrier", algo));
+double barrier_us(const armci::WorldConfig& base, int ranks,
+                  const std::string& algo) {
+  armci::World world(coll_config(base, ranks, "barrier", algo));
   Time t0 = 0, t1 = 0;
   world.spmd([&](armci::Comm& comm) {
     auto& engine = coll::CollEngine::of(comm);
@@ -39,9 +41,9 @@ double barrier_us(const Config& cli, int ranks, const std::string& algo) {
   return to_us(t1 - t0) / kIters;
 }
 
-double bcast_us(const Config& cli, int ranks, std::size_t bytes,
+double bcast_us(const armci::WorldConfig& base, int ranks, std::size_t bytes,
                 const std::string& algo) {
-  armci::World world(coll_config(cli, ranks, "broadcast", algo));
+  armci::World world(coll_config(base, ranks, "broadcast", algo));
   Time t0 = 0, t1 = 0;
   world.spmd([&](armci::Comm& comm) {
     auto& engine = coll::CollEngine::of(comm);
@@ -56,9 +58,9 @@ double bcast_us(const Config& cli, int ranks, std::size_t bytes,
   return to_us(t1 - t0) / kIters;
 }
 
-double allreduce_us(const Config& cli, int ranks, std::size_t bytes,
+double allreduce_us(const armci::WorldConfig& base, int ranks, std::size_t bytes,
                     const std::string& algo) {
-  armci::World world(coll_config(cli, ranks, "allreduce", algo));
+  armci::World world(coll_config(base, ranks, "allreduce", algo));
   Time t0 = 0, t1 = 0;
   world.spmd([&](armci::Comm& comm) {
     auto& engine = coll::CollEngine::of(comm);
@@ -81,6 +83,10 @@ int main(int argc, char** argv) {
   bench::print_banner(
       "bench_abl_collectives: algorithm x size x machine-size sweep",
       "selection-table crossovers for src/coll/ (S II-A collective logic)");
+  // Every key is read here, once: a typo fails before any World runs.
+  const armci::WorldConfig base =
+      bench::make_world_config(cli, 16, /*ranks_per_node=*/1);
+  cli.reject_unused();
   const std::vector<int> rank_counts = {16, 64, 512};
 
   std::printf("\nbarrier (us per call):\n");
@@ -88,10 +94,10 @@ int main(int argc, char** argv) {
   for (int p : rank_counts) {
     barrier.row()
         .add(p)
-        .add(barrier_us(cli, p, "recdbl"), 2)
-        .add(barrier_us(cli, p, "binomial"), 2)
-        .add(barrier_us(cli, p, "torus-ring"), 2)
-        .add(barrier_us(cli, p, "hw"), 2);
+        .add(barrier_us(base, p, "recdbl"), 2)
+        .add(barrier_us(base, p, "binomial"), 2)
+        .add(barrier_us(base, p, "torus-ring"), 2)
+        .add(barrier_us(base, p, "hw"), 2);
   }
   barrier.print();
 
@@ -102,9 +108,9 @@ int main(int argc, char** argv) {
       bcast.row()
           .add(p)
           .add(format_bytes(bytes))
-          .add(bcast_us(cli, p, bytes, "binomial"), 2)
-          .add(bcast_us(cli, p, bytes, "torus-ring"), 2)
-          .add(bcast_us(cli, p, bytes, "hw"), 2);
+          .add(bcast_us(base, p, bytes, "binomial"), 2)
+          .add(bcast_us(base, p, bytes, "torus-ring"), 2)
+          .add(bcast_us(base, p, bytes, "hw"), 2);
     }
   }
   bcast.print();
@@ -113,9 +119,9 @@ int main(int argc, char** argv) {
   Table allred({"ranks", "bytes", "recdbl", "torus-ring", "hw", "best"});
   for (int p : rank_counts) {
     for (std::size_t bytes : {2048ul, 16384ul, 131072ul}) {
-      const double rd = allreduce_us(cli, p, bytes, "recdbl");
-      const double ring = allreduce_us(cli, p, bytes, "torus-ring");
-      const double hw = allreduce_us(cli, p, bytes, "hw");
+      const double rd = allreduce_us(base, p, bytes, "recdbl");
+      const double ring = allreduce_us(base, p, bytes, "torus-ring");
+      const double hw = allreduce_us(base, p, bytes, "hw");
       const char* best = rd <= ring && rd <= hw ? "recdbl"
                          : ring <= hw           ? "torus-ring"
                                                 : "hw";
@@ -133,6 +139,5 @@ int main(int argc, char** argv) {
               " torus bucket ring moves ~2x the payload over nearest-\n"
               " neighbour links; hw models the collective-logic tree at\n"
               " 2 GB/s — crossovers drive coll/selection.cpp defaults)\n");
-  cli.reject_unused();
   return 0;
 }

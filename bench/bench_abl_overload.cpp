@@ -33,10 +33,12 @@
 // (--report.json_path) — tools/check.sh's overload_gate asserts the
 // plateau and the recovery there.
 //
-// Knobs: ranks (8), deadline_us (0 = auto from the calibrated
-// closed-loop p99), credits, factors, hedge (0/1), soak (0/1), plus
-// every kvs.* / flow.* / fault.* knob (kvs.requests default 192,
-// kvs.keys 512).
+// Knobs: ranks (8), factors, hedge (0/1), soak (0/1), plus every
+// kvs.* / flow.* / fault.* knob (kvs.requests default 192, kvs.keys
+// 512). The flow.* keys shape the controlled arm, whose defaults are
+// the product configuration: flow.credits 8, flow.admit on,
+// flow.low_prio_frac 0.2, flow.retry_budget 12, flow.seed 7, and
+// flow.deadline_us 0 = auto from the calibrated closed-loop p99.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -88,8 +90,18 @@ int main(int argc, char** argv) {
   defaults.verify = false;  // audits re-read every key; off the overload path
   const kvs::KvConfig base = kvs::KvConfig::from_config(cli, defaults);
 
+  // The controlled arm: every defense at once (that is the product
+  // configuration; test_flow isolates them).
+  flow::FlowConfig product;
+  product.configured = true;
+  product.credits = 8;
+  product.admit = true;
+  product.low_prio_frac = 0.2;
+  product.retry_budget = 12;
+  product.seed = 7;
+  flow::FlowConfig flow_on = flow::FlowConfig::from_config(cli, product);
+
   const int ranks = static_cast<int>(cli.get_int("ranks", 8));
-  const int credits = static_cast<int>(cli.get_int("credits", 8));
   const std::vector<double> factors =
       cli.get_doubles("factors", {0.2, 0.5, 1.0, 1.5, 2.0, 3.0});
 
@@ -110,27 +122,16 @@ int main(int argc, char** argv) {
     p50_get_us = q_us(r.total.get_lat, 0.5);
     p99_get_us = q_us(r.total.get_lat, 0.99);
   }
-  double deadline_us = cli.get_double("deadline_us", 0.0);
-  if (deadline_us <= 0.0) {
-    deadline_us = std::max(50.0, 6.0 * p99_get_us);
+  if (flow_on.deadline_us <= 0.0) {
+    flow_on.deadline_us = std::max(50.0, 6.0 * p99_get_us);
   }
+  const double deadline_us = flow_on.deadline_us;
   std::printf(
       "calibration: %d ranks, sat=%.0f ops/s/rank, get p50=%.1fus "
       "p99=%.1fus, deadline/SLO=%.0fus\n\n",
       ranks, sat_rate, p50_get_us, p99_get_us, deadline_us);
   acc.set_gauge("overload.sat_rate_per_rank", sat_rate);
   acc.set_gauge("overload.deadline_us", deadline_us);
-
-  // The controlled arm: every defense at once (that is the product
-  // configuration; test_flow isolates them).
-  flow::FlowConfig flow_on;
-  flow_on.configured = true;
-  flow_on.credits = credits;
-  flow_on.deadline_us = deadline_us;
-  flow_on.admit = true;
-  flow_on.low_prio_frac = cli.get_double("low_prio_frac", 0.2);
-  flow_on.retry_budget = static_cast<int>(cli.get_int("retry_budget", 12));
-  flow_on.seed = static_cast<std::uint64_t>(cli.get_int("flow_seed", 7));
 
   auto run_arm = [&](const kvs::KvConfig& kc, bool on)
       -> std::pair<kvs::KvResult, std::unique_ptr<armci::World>> {
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
                 factors.back());
     std::fputs(off_tl.render(top).c_str(), stdout);
     std::printf("timeline @ %.1fx load, arm=on (controlled, %d credits):\n",
-                factors.back(), credits);
+                factors.back(), flow_on.credits);
     std::fputs(on_tl.render(top).c_str(), stdout);
     std::printf(
         "queue runaway vs plateau: off kvs.client_backlog peak=%.0f, "
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
         "peak=%.0f (window=%d)\n",
         off_tl.gauge_peak("kvs.client_backlog"),
         on_tl.gauge_peak("kvs.client_backlog"),
-        on_tl.gauge_peak("flow.window_occupancy"), credits);
+        on_tl.gauge_peak("flow.window_occupancy"), flow_on.credits);
     off_world.reset();
   }
 

@@ -26,13 +26,14 @@
 namespace pgasq::bench {
 
 inline armci::WorldConfig make_world_config(const Config& cli, int default_ranks,
-                                            int default_ranks_per_node = 1) {
+                                            int default_ranks_per_node = 1,
+                                            const char* default_net = "loggp") {
   armci::WorldConfig cfg;
   cfg.machine.num_ranks =
       static_cast<int>(cli.get_int("ranks", default_ranks));
   cfg.machine.ranks_per_node =
       static_cast<int>(cli.get_int("ranks_per_node", default_ranks_per_node));
-  cfg.machine.network_model = cli.get_string("net", "loggp");
+  cfg.machine.network_model = cli.get_string("net", default_net);
   cfg.machine.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
 
   const std::string progress = cli.get_string("progress", "default");
@@ -64,7 +65,7 @@ inline armci::WorldConfig make_world_config(const Config& cli, int default_ranks
   // Overload-control knobs (--flow.credits, --flow.deadline_us,
   // --flow.admit ...). All off by default — with flow.* unset no
   // controller is built and runs stay byte-identical.
-  cfg.machine.flow = flow::FlowConfig::from_config(cli);
+  cfg.machine.flow = flow::FlowConfig::from_config(cli, {});
   // Collectives-engine knobs ride through opaquely: every "--coll.*"
   // key is handed to coll::CollConfig with the prefix stripped, e.g.
   // --coll.algo.allreduce=torus-ring or --coll.hw=0.

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   // --flow.* arms overload control (credit backpressure, deadlines);
   // the report then grows an "overload control (flow)" table
   // (docs/overload.md).
-  cfg.machine.flow = flow::FlowConfig::from_config(cli);
+  cfg.machine.flow = flow::FlowConfig::from_config(cli, {});
   // --coll.* keys reach the collectives engine with the prefix
   // stripped, e.g. --coll.algo.allreduce=torus-ring (docs/collectives.md).
   for (const std::string& key : cli.keys()) {

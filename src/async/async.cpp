@@ -27,12 +27,6 @@ Runtime::Runtime(armci::Comm& comm)
         timeline_->series("async.cont_queue_depth", obs::Timeline::Kind::kGauge);
   }
   comm.set_async_hook([this] { drain(); }, [this] { check_quiesced(); });
-  comm.set_async_poll_hook([this] { return poll_sources_ > 0; });
-}
-
-void Runtime::note_poll_source(int delta) {
-  poll_sources_ += delta;
-  PGASQ_CHECK(poll_sources_ >= 0, << "poll-source underflow");
 }
 
 Runtime::~Runtime() = default;
@@ -63,7 +57,6 @@ void Runtime::drain() {
   while (!queue_.empty()) {
     auto k = std::move(queue_.front());
     queue_.pop_front();
-    ++continuations_run_;
     sample_gauges();
     k();
     // A continuation may have fulfilled promises whose futures belong

@@ -123,12 +123,6 @@ class Runtime final : public fut::Scheduler {
   std::size_t register_poller(std::function<void()> fn);
   void unregister_poller(std::size_t id);
 
-  /// Poll-driven completion sources (open non-blocking collectives)
-  /// register here: while any is live, blocking waits advance virtual
-  /// time and re-poll instead of parking — their arrival flags are
-  /// one-sided writes that would never wake a parked fiber.
-  void note_poll_source(int delta);
-
   /// Finalize-time quiescence check: aborts when continuations were
   /// abandoned (registered on futures that never fulfilled, or
   /// enqueued but never drained) — chained work silently dropped is a
@@ -138,8 +132,6 @@ class Runtime final : public fut::Scheduler {
   // --- Introspection --------------------------------------------------------
 
   std::size_t queue_depth() const { return queue_.size(); }
-  std::size_t pending_continuations() const { return pending_; }
-  std::uint64_t continuations_run() const { return continuations_run_; }
   std::uint64_t gets_revoked() const { return gets_revoked_; }
   std::uint64_t gets_abandoned() const { return gets_abandoned_; }
   armci::Comm& comm() { return comm_; }
@@ -152,9 +144,7 @@ class Runtime final : public fut::Scheduler {
   std::vector<std::pair<std::size_t, std::function<void()>>> pollers_;
   std::size_t next_poller_id_ = 1;
   std::size_t pending_ = 0;  ///< continuations awaiting a value
-  int poll_sources_ = 0;     ///< live poll-completed sources (nbc ops)
   bool draining_ = false;
-  std::uint64_t continuations_run_ = 0;
   std::uint64_t gets_revoked_ = 0;
   std::uint64_t gets_abandoned_ = 0;
   // Timeline series (kNone when obs.timeline is off).

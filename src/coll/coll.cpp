@@ -383,7 +383,7 @@ void CollEngine::begin_data_op(std::size_t slot_payload, std::size_t n_slots) {
     layout_ = slot_bytes_;
   } else {
     // Same layout: flags are epoch-monotone, but invocation N+1 slot
-    // writes must not land while a skewed rank still polls epoch N
+    // writes must not land while a skewed rank still waits on epoch N
     // (retransmit backoff can delay its message arbitrarily). The
     // rendezvous guarantees all epoch-N traffic delivered first.
     comm_.barrier_hw();
@@ -391,9 +391,10 @@ void CollEngine::begin_data_op(std::size_t slot_payload, std::size_t n_slots) {
   }
 }
 
-void CollEngine::poll() {
-  comm_.progress();
-  comm_.compute(from_ns(200));
+void CollEngine::await(const std::uint64_t* w, std::uint64_t at_least) {
+  if (*w >= at_least) return;
+  const pami::Process::Watch armed(comm_.process(), w, 8);
+  comm_.progress_until([w, at_least] { return *w >= at_least; });
 }
 
 void CollEngine::group_rendezvous() {
@@ -537,9 +538,8 @@ void CollEngine::send_nb(int to, std::size_t slot, const void* data,
 const std::byte* CollEngine::recv_wait(std::size_t slot, std::size_t bytes) {
   PGASQ_CHECK(slot < n_slots_ && bytes + hdr_ <= slot_bytes_);
   std::byte* base = slot_local(slot);
-  const volatile std::uint64_t* flag =
-      reinterpret_cast<const volatile std::uint64_t*>(base);
-  while (*flag < epoch_) poll();
+  const auto* flag = reinterpret_cast<const std::uint64_t*>(base);
+  await(flag, epoch_);
   PGASQ_CHECK(*flag == epoch_,
               << "collective slot " << slot << " flagged epoch " << *flag
               << ", expected " << epoch_);
@@ -590,9 +590,8 @@ void CollEngine::put_word(int to, int word, std::uint64_t value) {
 }
 
 void CollEngine::wait_word(int word, std::uint64_t at_least) {
-  const volatile std::uint64_t* w = reinterpret_cast<const volatile std::uint64_t*>(
-      scratch_->local(comm_.rank()) + static_cast<std::size_t>(word) * 8);
-  while (*w < at_least) poll();
+  const std::byte* at = scratch_->local(comm_.rank()) + static_cast<std::size_t>(word) * 8;
+  await(reinterpret_cast<const std::uint64_t*>(at), at_least);
 }
 
 // ---------------------------------------------------------------------------
@@ -716,11 +715,9 @@ void CollEngine::hw_rendezvous(const void* contribution, std::size_t bytes,
   if (++hw.arrived == geometry_.p) {
     hw.arrived = 0;
     fold(hw);  // rank-order deterministic, independent of arrival order
-    std::shared_ptr<HwShared> shared = hw_;
-    comm_.world().machine().engine().schedule_after(
-        hw_latency(model_bytes), [shared] { ++shared->generation; });
+    comm_.world().release_after(hw_latency(model_bytes), hw.generation);
   }
-  while (hw.generation == generation) poll();
+  comm_.progress_until([&hw, generation] { return hw.generation != generation; });
 }
 
 void CollEngine::hw_broadcast(std::byte* data, std::size_t bytes, int root) {

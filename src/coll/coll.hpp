@@ -259,7 +259,8 @@ class CollEngine {
   // Geometry helpers.
   std::vector<int> digits_of(int rank) const;
   int rank_of_digits(const std::vector<int>& digits) const;
-  void poll();
+  /// Parks until `*w >= at_least`, the word armed for the wait only.
+  void await(const std::uint64_t* w, std::uint64_t at_least);
 
   armci::Comm& comm_;
   CollConfig config_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "fault/integrity.hpp"
@@ -43,6 +44,7 @@ struct NbcEngine::Op {
   std::size_t payload = 0;  ///< max payload bytes per slot
   fut::Promise<fut::Unit> promise;
   armci::Handle sends;  ///< aggregates every hop this op injected
+  std::optional<pami::Process::Watch> watch;  ///< slot block, armed while open
   bool schedule_done = false;
 
   int phase = 0;      ///< algorithm sub-phase
@@ -131,7 +133,6 @@ void NbcEngine::ensure_arena(std::size_t need) {
 }
 
 void NbcEngine::wrap(std::size_t need) {
-  ++wraps_;
   // Drive every open op home: each progress pass runs the poller,
   // and every rank reaches this same wrap before initiating the op
   // that overflowed the cursor.
@@ -163,6 +164,7 @@ void NbcEngine::open_slots(Op& op, std::size_t slots, std::size_t payload) {
   }
   op.base = cursor_;
   cursor_ += need;
+  op.watch.emplace(comm_.process(), arena_->local(me_) + op.base, need);
 }
 
 std::byte* NbcEngine::keep_alloc(std::size_t need) {
@@ -285,14 +287,10 @@ const std::byte* NbcEngine::hop_payload(Op& op, std::size_t slot,
 // ---------------------------------------------------------------------------
 
 fut::Future<fut::Unit> NbcEngine::start(std::unique_ptr<Op> op) {
-  ++ops_started_;
   // An open op counts as a pending future: an abandoned one (rank
   // divergence, a dropped future) is caught by the runtime's finalize
-  // quiescence check instead of hanging silently. It is also a poll
-  // source — its arrival flags are one-sided writes, so blocking waits
-  // must poll rather than park while it is open.
+  // quiescence check instead of hanging silently.
   rt_.note_pending(+1);
-  rt_.note_poll_source(+1);
   if (trace_ != nullptr) {
     trace_->instant(track_, std::string(op->name()) + " start", comm_.now());
   }
@@ -486,9 +484,8 @@ bool NbcEngine::step_allreduce(Op& op) {
 }
 
 void NbcEngine::finish(Op& op) {
-  ++ops_completed_;
   rt_.note_pending(-1);
-  rt_.note_poll_source(-1);
+  op.watch.reset();
   if (trace_ != nullptr) {
     trace_->instant(track_, std::string(op.name()) + " done", comm_.now());
   }

@@ -1,7 +1,7 @@
 // NbcEngine — non-blocking collectives (ibarrier / ibcast /
 // iallreduce) for the ARMCI runtime.
 //
-// Unlike CollEngine's blocking schedules, which poll inside the call,
+// Unlike CollEngine's blocking schedules, which wait inside the call,
 // an NbcEngine operation returns a fut::Future immediately and the
 // schedule advances incrementally: each progress pass (the async
 // runtime's poller hook) steps every open operation as far as its
@@ -17,10 +17,11 @@
 // [flag | payload]; the flag value encodes the operation's global
 // sequence number and kind, so a receiver can verify the landed
 // message belongs to the op it is stepping — rank divergence aborts
-// with a diagnostic instead of silently mixing payloads. When the
-// arena cursor wraps, the engine drives every open op to completion,
-// quiesces with the hardware barrier, and re-zeroes — rare, blocking,
-// and identical on every rank.
+// with a diagnostic instead of silently mixing payloads. An open op's
+// slot block is armed (pami::Process::Watch): a landing hop wakes a
+// parked waiter. When the arena cursor wraps, the engine drives every
+// open op to completion, quiesces with the hardware barrier, and
+// re-zeroes — rare, blocking, and identical on every rank.
 //
 // iallreduce mirrors allreduce_recdbl's exact schedule (the MPICH
 // non-power-of-two fold, the same partner order, a+b vs b+a), so its
@@ -78,10 +79,7 @@ class NbcEngine {
   // --- Introspection --------------------------------------------------------
 
   std::size_t open_ops() const { return open_.size(); }
-  std::uint64_t ops_started() const { return ops_started_; }
-  std::uint64_t ops_completed() const { return ops_completed_; }
   std::uint64_t hops_sent() const { return hops_sent_; }
-  std::uint64_t arena_wraps() const { return wraps_; }
 
  private:
   struct Op;
@@ -156,10 +154,7 @@ class NbcEngine {
   std::size_t poller_id_ = 0;
   bool stepping_ = false;
 
-  std::uint64_t ops_started_ = 0;
-  std::uint64_t ops_completed_ = 0;
   std::uint64_t hops_sent_ = 0;
-  std::uint64_t wraps_ = 0;
 
   std::uint64_t salt_ = 0;
   sim::TraceRecorder* trace_ = nullptr;

@@ -221,7 +221,6 @@ void Comm::finalize() {
   if (async_check_ && !ft_failed_) async_check_();
   async_hook_ = nullptr;
   async_check_ = nullptr;
-  async_poll_ = nullptr;
   async_slot_.reset();
   if (async_running_) {
     async_running_ = false;
@@ -346,15 +345,9 @@ void Comm::progress_until(const std::function<bool()>& pred) {
     // — unwind to the recovery runtime rather than park forever.
     ft_check();
     if (ctx.has_work()) continue;
-    // Open non-blocking collectives complete through one-sided flag
-    // writes that post no context item: parking would sleep through
-    // the landing. Poll instead, at the collectives engine's cadence.
-    if (async_poll_ && async_poll_()) {
-      compute(from_ns(200));
-      continue;
-    }
-    // Park (lock released) until the next delivery; every event this
-    // predicate can depend on arrives as an item on this context.
+    // Park (lock released) until the next delivery: every event this
+    // predicate can depend on arrives as an item on this context or
+    // lands in a range armed on the wakeup unit (pami::Process::Watch).
     ctx.wait_for_work();
   }
 }
@@ -618,14 +611,7 @@ void Comm::barrier_hw() {
       monitor_ != nullptr ? monitor_->live_rank_count() : world_.num_ranks());
   if (++b.arrived >= target) {
     b.arrived = 0;
-    World* w = &world_;
-    world_.machine().engine().schedule_after(
-        process_.machine().params().barrier_latency, [w] {
-          ++w->barrier_.generation;
-          for (Comm* c : w->comms_) {
-            if (c != nullptr) c->main_context().post_completion([] {}, 0);
-          }
-        });
+    world_.release_after(process_.machine().params().barrier_latency, b.generation);
   }
   progress_until([&b, generation] { return b.generation != generation; });
 }

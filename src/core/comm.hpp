@@ -235,9 +235,9 @@ class Comm {
   /// Waits for local completion of all implicit non-blocking ops.
   void wait_all();
 
-  /// Spins progress passes (advancing virtual time) until `pred`
-  /// returns true. The async runtime's future waits and the
-  /// non-blocking collectives drain on this.
+  /// Runs progress passes until `pred` returns true, parking between
+  /// deliveries. Every blocking wait in core, coll and async is this
+  /// loop; a wait on a one-sided flag arms it (pami::Process::Watch).
   void progress_until(const std::function<bool()>& pred);
 
   /// Pairwise producer/consumer synchronization (armci_notify):
@@ -324,15 +324,6 @@ class Comm {
   void set_async_hook(std::function<void()> drain, std::function<void()> check) {
     async_hook_ = std::move(drain);
     async_check_ = std::move(check);
-  }
-  /// Installed by the runtime alongside the drain hook: returns true
-  /// while a poll-driven completion source is live (open non-blocking
-  /// collectives, whose arrival flags are one-sided RDMA writes that
-  /// post no context item). While true, progress_until advances
-  /// virtual time and re-polls instead of parking on context work —
-  /// parking would sleep through a flag landing and deadlock.
-  void set_async_poll_hook(std::function<bool()> poll) {
-    async_poll_ = std::move(poll);
   }
 
   // --- Process-group-subsystem attachment (src/grp) ----------------------------
@@ -506,7 +497,6 @@ class Comm {
   std::shared_ptr<void> async_slot_;
   std::function<void()> async_hook_;
   std::function<void()> async_check_;
-  std::function<bool()> async_poll_;
   std::vector<std::shared_ptr<DeferredGet>> deferred_gets_;
   std::uint64_t coll_engine_seq_ = 0;
 };

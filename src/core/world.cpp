@@ -76,6 +76,15 @@ void World::start_heartbeat() {
   eng.schedule_after(period, heartbeat_tick_);
 }
 
+void World::release_after(Time delay, std::uint64_t& generation) {
+  machine_.engine().schedule_after(delay, [this, &generation] {
+    ++generation;
+    for (Comm* c : comms_) {
+      if (c != nullptr) c->main_context().post_completion([] {}, 0);
+    }
+  });
+}
+
 const CommStats& World::stats(RankId rank) const {
   PGASQ_CHECK(rank >= 0 && rank < machine_.num_ranks());
   return final_stats_[static_cast<std::size_t>(rank)];

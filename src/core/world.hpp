@@ -63,6 +63,11 @@ class World {
   /// shared by every rank's engine. Created by the first engine.
   std::shared_ptr<void>& coll_shared() { return coll_shared_; }
 
+  /// Releases a hardware rendezvous: after `delay`, bumps `generation`
+  /// (which must outlive the wait) and posts a zero-cost item to every
+  /// live rank's main context so each parked waiter re-checks.
+  void release_after(Time delay, std::uint64_t& generation);
+
  private:
   friend class Comm;
 

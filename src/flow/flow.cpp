@@ -15,9 +15,8 @@ std::uint64_t splitmix64_of(std::uint64_t v) {
 }
 }  // namespace
 
-FlowConfig FlowConfig::from_config(const Config& cfg) {
-  FlowConfig out;
-  out.configured = parse_knobs(cfg, "flow", kFlowKnobs, out);
+FlowConfig FlowConfig::from_config(const Config& cfg, FlowConfig out) {
+  out.configured |= parse_knobs(cfg, "flow", kFlowKnobs, out);
   PGASQ_CHECK(out.init_limit <= out.max_limit,
               << "flow.init_limit " << out.init_limit << " vs flow.max_limit "
               << out.max_limit);

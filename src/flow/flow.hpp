@@ -120,9 +120,9 @@ struct FlowConfig {
 
   Time deadline() const { return deadline_us > 0.0 ? from_us(deadline_us) : 0; }
 
-  /// Parse `flow.*` keys (kFlowKnobs); unknown keys are rejected with
-  /// a typo suggestion.
-  static FlowConfig from_config(const Config& config);
+  /// Parse `flow.*` keys (kFlowKnobs) over `defaults`; unknown keys are
+  /// rejected with a typo suggestion.
+  static FlowConfig from_config(const Config& config, FlowConfig defaults);
 };
 
 inline constexpr Knob<FlowConfig> kFlowKnobs[] = {

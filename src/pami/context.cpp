@@ -464,6 +464,7 @@ void Context::process_item(Item& item) {
       // Non-RDMA put deposit: copy the payload into place, then ack.
       busy(p.o_am_dispatch);
       std::memcpy(item.deposit_to, item.deposit_data.data(), item.deposit_data.size());
+      process_.landed(item.deposit_to, item.deposit_data.size());  // ctx 0 may park
       if (item.remote_ack) {
         // The ack closure finishes the flow at the requester.
         flow('t', process_.rank(), "put deposit", item.flow_id, now());
@@ -504,8 +505,11 @@ void Context::rput(const MemoryRegion& local_mr, std::uint64_t loff,
   std::memcpy(staged.data(), local_mr.base + loff, bytes);
   maybe_corrupt(t, staged.data(), bytes);
   std::byte* dst = remote_mr.base + roff;
-  machine().engine().schedule_at(t.arrive, [staged = std::move(staged), dst]() mutable {
+  Process* owner = &machine().process(remote_mr.owner);
+  machine().engine().schedule_at(t.arrive, [staged = std::move(staged), dst,
+                                            owner]() mutable {
     std::memcpy(dst, staged.data(), staged.size());
+    owner->landed(dst, staged.size());
   });
   if (on_local_done) {
     post_completion_at(t.inject_done + p.o_local_drain, std::move(on_local_done),
@@ -593,10 +597,12 @@ void Context::rput_typed(const MemoryRegion& local_mr, const MemoryRegion& remot
   }
   maybe_corrupt(t, staged->data(), total);
   std::byte* rbase = remote_mr.base;
-  machine().engine().schedule_at(t.arrive, [staged, rbase, chunks] {
+  Process* owner = &machine().process(remote_mr.owner);
+  machine().engine().schedule_at(t.arrive, [staged, rbase, chunks, owner] {
     std::uint64_t pos = 0;
     for (const auto& c : chunks) {
       std::memcpy(rbase + c.remote_offset, staged->data() + pos, c.bytes);
+      owner->landed(rbase + c.remote_offset, c.bytes);
       pos += c.bytes;
     }
   });

@@ -88,6 +88,8 @@ class Context {
   /// Blocks the calling fiber until an item is (or already is) queued.
   /// Used by progress loops that poll under a lock and park unlocked.
   void wait_for_work();
+  /// Wakes every parked fiber without posting an item (Process::Watch).
+  void wake() { arrivals_->notify_all(); }
 
   /// Per-context lock for the rho=1 shared-context configuration
   /// (S III-D). The ARMCI layer decides when to take it.

@@ -55,4 +55,10 @@ void Process::busy(Time t) {
 
 Time Process::now() const { return machine_.engine().now(); }
 
+void Process::landed(const std::byte* addr, std::size_t bytes) {
+  for (const auto& [lo, n] : armed_) {
+    if (addr < lo + n && lo < addr + bytes) return contexts_.front()->wake();
+  }
+}
+
 }  // namespace pgasq::pami

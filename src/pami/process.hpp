@@ -2,6 +2,7 @@
 // memory, and accounting of the space/time attributes from Table I.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -73,6 +74,26 @@ class Process {
 
   const SpaceStats& space() const { return space_; }
 
+  /// The BG/Q A2 wakeup unit: while a Watch lives, a write landing in
+  /// [addr, addr+bytes) wakes the fiber parked on context 0, so a wait
+  /// on a one-sided flag parks instead of polling.
+  class Watch {
+   public:
+    Watch(Process& p, const void* addr, std::size_t bytes)
+        : p_(p), range_(static_cast<const std::byte*>(addr), bytes) {
+      p_.armed_.push_back(range_);
+    }
+    ~Watch() { p_.armed_.erase(std::find(p_.armed_.begin(), p_.armed_.end(), range_)); }
+    Watch(const Watch&) = delete;
+
+   private:
+    Process& p_;
+    std::pair<const std::byte*, std::size_t> range_;
+  };
+  /// RDMA delivery hook. No trace (item, cost, stats) unless the write
+  /// overlaps an armed range and a fiber is parked on context 0.
+  void landed(const std::byte* addr, std::size_t bytes);
+
  private:
   friend class Context;
   Machine& machine_;
@@ -82,6 +103,7 @@ class Process {
   std::vector<std::unique_ptr<Context>> contexts_;
   RegionTable regions_;
   SpaceStats space_;
+  std::vector<std::pair<const std::byte*, std::size_t>> armed_;  // see Watch
 };
 
 }  // namespace pgasq::pami

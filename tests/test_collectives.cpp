@@ -371,6 +371,36 @@ TEST(Selection, LinkFaultPlanDeselectsHardware) {
 }
 
 // ---------------------------------------------------------------------------
+// Waits park: a wait on a one-sided flag arms it on the wakeup unit and
+// sleeps until it lands, instead of spinning timed progress slices.
+
+TEST(CollWakeup, SkewedBarrierParksUntilTheFlagLands) {
+  armci::World world(make_cfg(2, 42, {{"algo.barrier", "recdbl"}}));
+  std::uint64_t events = 0;
+  Time late_arrival = 0, early_leave = 0;
+  world.spmd([&](armci::Comm& comm) {
+    auto& engine = CollEngine::of(comm);
+    engine.barrier();  // warm-up: arena allocation
+    const sim::Engine& eng = comm.world().machine().engine();
+    const std::uint64_t before = eng.events_processed();
+    if (comm.rank() == 1) {
+      comm.compute(from_ms(1.0));
+      late_arrival = comm.now();
+    }
+    engine.barrier();
+    if (comm.rank() == 0) {
+      early_leave = comm.now();
+      events = eng.events_processed() - before;
+    }
+  });
+  // The early rank sleeps through the skew: a handful of events, where
+  // a 200 ns polling loop processed thousands.
+  EXPECT_LT(events, 64u);
+  EXPECT_GE(early_leave, late_arrival);
+  EXPECT_LT(early_leave - late_arrival, from_us(2.0));
+}
+
+// ---------------------------------------------------------------------------
 // The communication report gains a per-(op, algorithm) table.
 
 TEST(CollReport, ReportListsCollectiveUsage) {

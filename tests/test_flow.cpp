@@ -266,7 +266,7 @@ TEST(Flow, ConfigRejectsTyposAndBadValues) {
       EXPECT_NE(what.find(suggestion), std::string::npos) << what;
     }
   };
-  auto parse_flow = [](const Config& c) { flow::FlowConfig::from_config(c); };
+  auto parse_flow = [](const Config& c) { flow::FlowConfig::from_config(c, {}); };
   auto parse_kvs = [](const Config& c) { kvs::KvConfig::from_config(c); };
   auto parse_fault = [](const Config& c) { fault::FaultPlan::from_config(c); };
   expect_suggestion("flow.credtis", "4", "did you mean flow.credits?",
@@ -285,7 +285,7 @@ TEST(Flow, ConfigRejectsTyposAndBadValues) {
   ok.set("flow.deadline_us", "25");
   ok.set("flow.admit", "true");
   ok.set("flow.low_prio_frac", "0.1");
-  const flow::FlowConfig fl = flow::FlowConfig::from_config(ok);
+  const flow::FlowConfig fl = flow::FlowConfig::from_config(ok, {});
   EXPECT_TRUE(fl.configured);
   EXPECT_TRUE(fl.enabled());
   EXPECT_EQ(fl.credits, 3);
@@ -294,7 +294,7 @@ TEST(Flow, ConfigRejectsTyposAndBadValues) {
 
   Config bad_dec;
   bad_dec.set("flow.aimd_dec", "1.5");
-  EXPECT_THROW(flow::FlowConfig::from_config(bad_dec), Error);
+  EXPECT_THROW(flow::FlowConfig::from_config(bad_dec, {}), Error);
   Config bad_jitter;
   bad_jitter.set("fault.backoff_jitter", "1.0");
   EXPECT_THROW(fault::FaultPlan::from_config(bad_jitter), Error);

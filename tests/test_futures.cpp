@@ -335,6 +335,42 @@ TEST(Nbc, OpsOverlapWithOneSidedTraffic) {
   });
 }
 
+// A rank parked in a blocking barrier must still forward an open
+// ibcast: the op's armed slot block wakes it when a hop lands, and the
+// progress loop steps the schedule. Without the wakeup the even ranks
+// (inner tree nodes) sleep in the barrier while their odd children
+// wait on the broadcast before entering it — a deadlock.
+TEST(Nbc, BlockingBarrierStillForwardsAnOpenIbcast) {
+  for (const char* algo : {"hw", "recdbl", "binomial"}) {
+    armci::WorldConfig cfg = make_cfg(8);
+    cfg.armci.coll.emplace_back("algo.barrier", algo);
+    armci::World world(cfg);
+    world.spmd([](armci::Comm& comm) {
+      coll::CollEngine::of(comm);  // routes comm.barrier() through algo
+      async::Runtime& rt = async::Runtime::of(comm);
+      std::vector<std::byte> buf(333, std::byte{0});
+      if (comm.rank() == 0) {
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+          buf[i] = static_cast<std::byte>(i * 5 + 1);
+        }
+      }
+      fut::Future<fut::Unit> f =
+          coll::NbcEngine::of(comm).ibcast(buf.data(), buf.size(), 0);
+      if (comm.rank() % 2 == 0) {
+        comm.barrier();
+        rt.wait(f);
+      } else {
+        rt.wait(f);
+        comm.barrier();
+      }
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        ASSERT_EQ(buf[i], static_cast<std::byte>(i * 5 + 1))
+            << "rank " << comm.rank() << " byte " << i;
+      }
+    });
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fault transparency: packet loss triggers the retransmit protocol and
 // silent corruption trips the integrity layer's slot checksums — the

@@ -244,6 +244,8 @@ typo_gate() {
   local dir="$1"
   echo "=== typo gate: ${dir}" >&2
   expect_typo "${repo}/${dir}/bench/bench_fig3_latency" --rnaks=4
+  # A sweep bench: must fail before its first World, not after the sweep.
+  expect_typo timeout 10 "${repo}/${dir}/bench/bench_abl_collectives" --rnaks=4
   expect_typo "${repo}/${dir}/examples/scf_walkthrough" --ranks=8 --overlp=1
 }
 

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   scf.seed = static_cast<std::uint64_t>(cli.get_int("seed", 12345));
 
   const int ranks = static_cast<int>(cli.get_int("ranks", 512));
+  bench::reject_unused_before_sweep(cli);
   std::printf("ranks: %d, tasks/iteration: %lld, iterations: %d\n\n", ranks,
               static_cast<long long>(apps::scf_tasks_per_iteration(scf)),
               scf.iterations);
@@ -100,6 +101,5 @@ int main(int argc, char** argv) {
 
   last_world->app_metrics().merge_from(acc);
   bench::emit_observability(cli, *last_world);
-  cli.reject_unused();
   return 0;
 }

@@ -17,11 +17,10 @@ struct Outcome {
   std::uint64_t fence_calls;
 };
 
-Outcome run(const Config& cli, armci::ConsistencyMode mode) {
+Outcome run(const Config& cli, armci::ConsistencyMode mode, std::int64_t n,
+            std::int64_t blk) {
   armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/16);
   cfg.armci.consistency = mode;
-  const std::int64_t n = cli.get_int("n", 256);
-  const std::int64_t blk = cli.get_int("block", 32);
   armci::World world(cfg);
   Time t0 = 0, t1 = 0;
   world.spmd([&](armci::Comm& comm) {
@@ -67,8 +66,11 @@ int main(int argc, char** argv) {
   bench::print_banner("bench_abl_consistency: conflict tracking granularity (dgemm)",
                       "S III-E — cs_tgt (naive) vs cs_mr (per-region)");
   Table table({"tracking", "wall_ms", "forced_fences", "fence_calls"});
-  const auto naive = run(cli, armci::ConsistencyMode::kPerTarget);
-  const auto region = run(cli, armci::ConsistencyMode::kPerRegion);
+  const std::int64_t n = cli.get_int("n", 256);
+  const std::int64_t blk = cli.get_int("block", 32);
+  bench::reject_unused_before_sweep(cli);
+  const auto naive = run(cli, armci::ConsistencyMode::kPerTarget, n, blk);
+  const auto region = run(cli, armci::ConsistencyMode::kPerRegion, n, blk);
   table.row().add(std::string("per-target (naive)")).add(naive.wall_ms, 2)
       .add(naive.forced_fences).add(naive.fence_calls);
   table.row().add(std::string("per-region (cs_mr)")).add(region.wall_ms, 2)
@@ -82,6 +84,5 @@ int main(int argc, char** argv) {
               naive.wall_ms == 0.0
                   ? 0.0
                   : 100.0 * (naive.wall_ms - region.wall_ms) / naive.wall_ms);
-  cli.reject_unused();
   return 0;
 }

@@ -19,11 +19,10 @@ struct Outcome {
   std::uint64_t contended;   // contended acquisitions
 };
 
-Outcome run(const Config& cli, int contexts) {
+Outcome run(const Config& cli, int contexts, int ops) {
   armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/64);
   cfg.armci.progress = armci::ProgressMode::kAsyncThread;
   cfg.armci.contexts_per_rank = contexts;
-  const int ops = static_cast<int>(cli.get_int("ops", 64));
   armci::World world(cfg);
   Outcome out{};
   double fadd_sum = 0.0;
@@ -74,14 +73,15 @@ int main(int argc, char** argv) {
                       "S III-D — context-lock contention between main & async threads");
   Table table({"contexts(rho)", "fadd_avg_us", "home_get_us", "lock_wait_ms",
                "contended_acquires"});
+  const int ops = static_cast<int>(cli.get_int("ops", 64));
+  bench::reject_unused_before_sweep(cli);
   for (int rho : {1, 2}) {
-    const auto o = run(cli, rho);
+    const auto o = run(cli, rho, ops);
     table.row().add(rho).add(o.fadd_avg_us, 2).add(o.get_avg_us, 2)
         .add(o.lock_wait_ms, 3).add(o.contended);
   }
   table.print();
   std::printf("(63 ranks hammer a counter at rank 0 while rank 0's main thread\n"
               " streams blocking gets; rho=1 funnels both through one lock)\n");
-  cli.reject_unused();
   return 0;
 }

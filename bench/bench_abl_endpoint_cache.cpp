@@ -14,11 +14,10 @@ struct Outcome {
   std::size_t clique;
 };
 
-Outcome run(const Config& cli, bool cache) {
+Outcome run(const Config& cli, bool cache, int rounds) {
   armci::WorldConfig cfg =
       bench::make_world_config(cli, /*ranks=*/512, /*ranks_per_node=*/16);
   cfg.armci.cache_endpoints = cache;
-  const int rounds = static_cast<int>(cli.get_int("rounds", 3));
   armci::World world(cfg);
   Outcome out{};
   world.spmd([&](armci::Comm& comm) {
@@ -47,8 +46,10 @@ int main(int argc, char** argv) {
   bench::print_banner("bench_abl_endpoint_cache: cached vs per-op endpoint creation",
                       "S III-B — M_e = zeta*alpha*rho space buys beta per op");
   Table table({"endpoints", "wall_ms", "created", "cached_clique"});
-  const auto cached = run(cli, true);
-  const auto uncached = run(cli, false);
+  const int rounds = static_cast<int>(cli.get_int("rounds", 3));
+  bench::reject_unused_before_sweep(cli);
+  const auto cached = run(cli, true, rounds);
+  const auto uncached = run(cli, false, rounds);
   table.row().add(std::string("cached")).add(cached.total_ms, 2)
       .add(cached.endpoints_created).add(cached.clique);
   table.row().add(std::string("per-op")).add(uncached.total_ms, 2)
@@ -56,6 +57,5 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(rank 0 puts to 511 targets x 3 rounds; caching pays beta=0.3us\n"
               " once per clique member instead of once per operation)\n");
-  cli.reject_unused();
   return 0;
 }

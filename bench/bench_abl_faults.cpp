@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
       "bench_abl_faults: put/get bandwidth under packet loss + link failure",
       "Fig 4 under fault injection — retransmit/backoff + route-around cost");
   const int window = static_cast<int>(cli.get_int("window", 32));
+  bench::reject_unused_before_sweep(cli);
 
   // Two ranks four hops apart on a 4x1x1x1x1 ring, so the failed-link
   // scenarios take a real detour (dim of size 4; a size-2 dim reroutes
@@ -105,6 +106,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(recovered.reroutes),
                 to_ms(recovered.backoff_time));
   }
-  cli.reject_unused();
   return 0;
 }

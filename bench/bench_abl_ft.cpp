@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   const std::vector<double> intervals = cli.get_doubles("intervals", {0.0, 1.0, 2.0});
   const std::vector<double> fracs = cli.get_doubles("fracs", {0.3, 0.6, 0.9});
   const int dead_node = static_cast<int>(cli.get_int("dead_node", 3));
+  bench::reject_unused_before_sweep(cli);
 
   // 8 nodes on a 2x2x2 torus, one rank each: a death leaves a
   // non-power-of-two 7-rank clique, so the shrunk software collective
@@ -121,6 +122,5 @@ int main(int argc, char** argv) {
       "overhead; on failure rows it is the total slip (lost work +\n"
       "detection + recovery + re-execution on 7 ranks). recovery_ms is\n"
       "the shrink/agreement/redistribution round only.\n");
-  cli.reject_unused();
   return 0;
 }

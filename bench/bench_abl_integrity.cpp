@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
       "bench_abl_integrity: put/get bandwidth under CRC-verified transport",
       "Fig 4 with silent corruption — CRC+NACK repair cost vs corruption rate");
   const int window = static_cast<int>(cli.get_int("window", 32));
+  bench::reject_unused_before_sweep(cli);
 
   const std::vector<Scenario> scenarios = {
       {"off", 0.0, false},
@@ -126,6 +127,5 @@ int main(int argc, char** argv) {
   std::printf("\nCRC-on overhead at corruption rate 0: worst %.2f%% of put "
               "bandwidth across the sweep (budget: 2%%)\n",
               100.0 * worst);
-  cli.reject_unused();
   return worst < 0.02 ? 0 : 1;
 }

@@ -55,6 +55,13 @@ int main(int argc, char** argv) {
   const int ranks = static_cast<int>(cli.get_int("ranks", 512));
   const std::vector<double> thetas = cli.get_doubles("thetas", {0.99, 0.0});
   const std::vector<double> get_ratios = cli.get_doubles("get_ratios", {0.95, 0.5});
+  const bool failstop = cli.get_bool("failstop", true);
+  const int fs_ranks =
+      static_cast<int>(cli.get_int("failstop_ranks", std::min(ranks, 64)));
+  const double frac = cli.get_double("failstop_frac", 0.55);
+  const std::int64_t fs_requests = cli.get_int("failstop_requests", 48);
+  const int dead_node = static_cast<int>(cli.get_int("dead_node", fs_ranks / 2 - 1));
+  bench::reject_unused_before_sweep(cli);
 
   obs::Registry acc;
   std::unique_ptr<armci::World> last_world;
@@ -98,12 +105,9 @@ int main(int argc, char** argv) {
   // the audit (kvs.verify) recounts every surviving client's acked
   // puts against the live table, and the faa counters must land on the
   // exactly-once expectation.
-  if (cli.get_bool("failstop", true)) {
-    const int fs_ranks = static_cast<int>(
-        cli.get_int("failstop_ranks", std::min(ranks, 64)));
-    const double frac = cli.get_double("failstop_frac", 0.55);
+  if (failstop) {
     kvs::KvConfig kc = base;
-    kc.requests = cli.get_int("failstop_requests", 48);
+    kc.requests = fs_requests;
     if (kc.checkpoint_every <= 0) kc.checkpoint_every = 12;
     kc.faa_ratio = kc.faa_ratio > 0.0 ? kc.faa_ratio : 0.1;
     kc.get_ratio = 0.5;
@@ -127,8 +131,6 @@ int main(int argc, char** argv) {
     }
     armci::WorldConfig cfg = bench::make_world_config(cli, fs_ranks);
     cfg.machine.num_ranks = fs_ranks;
-    const int dead_node =
-        static_cast<int>(cli.get_int("dead_node", fs_ranks / 2 - 1));
     cfg.machine.fault.node_fails.push_back({dead_node, death_at});
     auto world = std::make_unique<armci::World>(cfg);
     const kvs::KvResult r = kvs::run_workload(*world, kc);
@@ -158,6 +160,5 @@ int main(int argc, char** argv) {
   // series into the last world's application metrics before emitting.
   last_world->app_metrics().merge_from(acc);
   bench::emit_observability(cli, *last_world);
-  cli.reject_unused();
   return 0;
 }

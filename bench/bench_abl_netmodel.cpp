@@ -61,6 +61,7 @@ int main(int argc, char** argv) {
   const Config cli = Config::from_args(argc, argv);
   bench::print_banner("bench_abl_netmodel: LogGP vs link-contention network model",
                       "model sensitivity of Fig 4 shapes + an incast stress");
+  bench::reject_unused_before_sweep(cli);
   Table table({"bytes", "loggp_MB/s", "contention_MB/s"});
   for (std::size_t m : {4096ul, 65536ul, 1048576ul}) {
     table.row()
@@ -74,6 +75,5 @@ int main(int argc, char** argv) {
               incast_ms(cli, "loggp"));
   std::printf("  contention: %.3f ms (links near rank 0 serialize)\n",
               incast_ms(cli, "contention"));
-  cli.reject_unused();
   return 0;
 }

@@ -40,6 +40,7 @@
 // flow.low_prio_frac 0.2, flow.retry_budget 12, flow.seed 7, and
 // flow.deadline_us 0 = auto from the calibrated closed-loop p99.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -104,6 +105,22 @@ int main(int argc, char** argv) {
   const int ranks = static_cast<int>(cli.get_int("ranks", 8));
   const std::vector<double> factors =
       cli.get_doubles("factors", {0.2, 0.5, 1.0, 1.5, 2.0, 3.0});
+  // The hedged-get and soak sections' keys (explained where used).
+  const bool hedge_section = cli.get_bool("hedge", true);
+  const double cap = cli.get_double("brown_capacity", 0.02);
+  const double burst_us = cli.get_double("brown_us", 40.0);
+  const double period_us = cli.get_double("brown_period_us", 200.0);
+  const int hranks = static_cast<int>(cli.get_int("hedge_ranks", 3));
+  const double settle_us = cli.get_double("brown_settle_us", 4000.0);
+  const int bursts = static_cast<int>(cli.get_int("brown_bursts", 512));
+  const bool hedge_debug = cli.get_bool("hedge_debug", false);
+  const bool soak_section = cli.get_bool("soak", true);
+  const double soak_factor = cli.get_double("soak_factor", 1.5);
+  const std::int64_t soak_requests = cli.get_int("soak_requests", 3 * base.requests);
+  // NaN = unset (user values must be finite): the default depends on
+  // the calibrated arrival span.
+  const double stall_us = cli.get_double("stall_us", std::nan(""));
+  bench::reject_unused_before_sweep(cli);
 
   obs::Registry acc;
   std::unique_ptr<armci::World> last_world;
@@ -207,7 +224,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Hedged gets past transient link brownouts ------------------------
-  if (cli.get_bool("hedge", true)) {
+  if (hedge_section) {
     // Transient outbound brownouts rotate around the machine: for a
     // short window one node's OUTGOING links drop to a few percent of
     // nominal bandwidth (a flapping optical module), so replies it
@@ -224,20 +241,16 @@ int main(int argc, char** argv) {
     // checkpoint of the fully populated table before the timed loop
     // (no mid-run checkpoints: a multi-KB shard ship caught in a
     // brownout would monopolize the sender NIC for milliseconds).
-    const double cap = cli.get_double("brown_capacity", 0.02);
     // 40us bursts every 200us: the post-burst NIC drain (in-burst
     // claims keep their inflated serialization) must finish inside one
     // period, or the next burst's victims hedge into a buddy that is
     // still draining and the rescue leg is slow too.
-    const double burst_us = cli.get_double("brown_us", 40.0);
-    const double period_us = cli.get_double("brown_period_us", 200.0);
     // All-pairs-adjacent ring: on a multi-hop partition a brownout
     // also inflates replies of HEALTHY homes routed through the
     // browned node (cut-through charges the whole path's worst link
     // on the sender's NIC), a tail no client-side hedge can touch.
     // One hop between every pair isolates the endpoint effect the
     // hedge is designed for.
-    const int hranks = static_cast<int>(cli.get_int("hedge_ranks", 3));
     std::printf(
         "\nhedged gets: closed loop, %d-node ring, rotating %.0fus "
         "outbound brownouts (%.0f%% capacity) every %.0fus, buddy "
@@ -287,8 +300,6 @@ int main(int argc, char** argv) {
         // Brownouts start only after a settle window so prefill and
         // the pre-loop checkpoint ship full-size shards over healthy
         // links, then rotate node by node past the end of the run.
-        const double settle_us = cli.get_double("brown_settle_us", 4000.0);
-        const int bursts = static_cast<int>(cli.get_int("brown_bursts", 512));
         for (int k = 0; k < bursts; ++k) {
           // Rotate BACKWARD (n, n-1, ...): a browned node's NIC keeps
           // draining inflated claims after its window closes, and
@@ -319,7 +330,7 @@ int main(int argc, char** argv) {
       }
       auto world = std::make_unique<armci::World>(cfg);
       const kvs::KvResult r = kvs::run_workload(*world, kc);
-      if (cli.get_bool("hedge_debug", false)) {
+      if (hedge_debug) {
         for (int c = 0; c < hranks; ++c) {
           const kvs::KvStats& s = r.per_rank[static_cast<std::size_t>(c)];
           std::printf(
@@ -366,16 +377,15 @@ int main(int argc, char** argv) {
   // 1.5x load; the clients freeze for a stall window while arrivals
   // keep accruing. Goodput is compared over equal-length windows
   // before the stall and after a settle period.
-  if (cli.get_bool("soak", true)) {
-    const double soak_factor = cli.get_double("soak_factor", 1.5);
+  if (soak_section) {
     kvs::KvConfig kc = base;
-    kc.requests = cli.get_int("soak_requests", 3 * base.requests);
+    kc.requests = soak_requests;
     kc.arrival_rate = soak_factor * sat_rate;
     kc.slo_us = deadline_us;
     const double span_us =
         static_cast<double>(kc.requests) / kc.arrival_rate * 1e6;
     kc.stall_at_us = 0.35 * span_us;
-    kc.stall_us = cli.get_double("stall_us", 0.12 * span_us);
+    kc.stall_us = std::isnan(stall_us) ? 0.12 * span_us : stall_us;
     std::printf(
         "\nmetastability soak: %.1fx load, stall [%.0f, %.0f]us of ~%.0fus "
         "arrival span\n",
@@ -412,6 +422,5 @@ int main(int argc, char** argv) {
   // on, so the flow.* controller metrics land in the same document.
   last_world->app_metrics().merge_from(acc);
   bench::emit_observability(cli, *last_world);
-  cli.reject_unused();
   return 0;
 }

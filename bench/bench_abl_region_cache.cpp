@@ -16,12 +16,11 @@ struct Outcome {
   std::uint64_t hits, misses, queries;
 };
 
-Outcome run(const Config& cli, std::size_t capacity) {
+Outcome run(const Config& cli, std::size_t capacity, int rounds) {
   armci::WorldConfig cfg = bench::make_world_config(cli, /*ranks=*/64);
   cfg.armci.region_cache_capacity = capacity;
   // Async progress so region queries are serviced promptly even while
   // targets idle in the final barrier.
-  const int rounds = static_cast<int>(cli.get_int("rounds", 4));
   armci::World world(cfg);
   Time t0 = 0, t1 = 0;
   Outcome out{};
@@ -61,13 +60,14 @@ int main(int argc, char** argv) {
   bench::print_banner("bench_abl_region_cache: LFU remote-region cache capacity",
                       "S III-B — M_r bounded by cache; misses served by AM");
   Table table({"capacity", "wall_ms", "hits", "misses", "queries_sent"});
+  const int rounds = static_cast<int>(cli.get_int("rounds", 4));
+  bench::reject_unused_before_sweep(cli);
   for (std::size_t cap : {4ul, 16ul, 64ul, 256ul}) {
-    const auto o = run(cli, cap);
+    const auto o = run(cli, cap, rounds);
     table.row().add(cap).add(o.wall_ms, 2).add(o.hits).add(o.misses).add(o.queries);
   }
   table.print();
   std::printf("(64 ranks, 4 rounds of puts to every rank's private buffer;\n"
               " capacity >= 63 turns repeat rounds into pure hits)\n");
-  cli.reject_unused();
   return 0;
 }

@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
   bench::print_banner("bench_abl_strided_protocol: zero-copy vs typed vs pack/unpack",
                       "S III-C2 — protocol crossover vs chunk size");
   const std::size_t total = static_cast<std::size_t>(cli.get_int("total", 256 << 10));
+  bench::reject_unused_before_sweep(cli);
   Table table({"l0_bytes", "chunks", "zero_copy_us", "typed_us", "pack_unpack_us",
                "best"});
   for (std::size_t l0 = 16; l0 <= total; l0 *= 8) {
@@ -62,6 +63,5 @@ int main(int argc, char** argv) {
         .add(std::string(best));
   }
   table.print();
-  cli.reject_unused();
   return 0;
 }

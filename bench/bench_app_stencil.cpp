@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   apps::StencilConfig scfg;
   scfg.tile = cli.get_int("tile", 64);
   scfg.iterations = static_cast<int>(cli.get_int("iterations", 10));
+  bench::reject_unused_before_sweep(cli);
 
   Table table({"procs", "mode", "wall_ms", "residual"});
   for (int p : {16, 64, 256}) {
@@ -39,6 +40,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   table.print();
-  cli.reject_unused();
   return 0;
 }

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
                "reduce_s(sum)", "tasks", "checksum"});
   const int max_ranks = static_cast<int>(cli.get_int("max_ranks", 4096));
   const int min_ranks = static_cast<int>(cli.get_int("min_ranks", 1024));
+  bench::reject_unused_before_sweep(cli);
   double d_wall = 0.0;
   for (int p = min_ranks; p <= max_ranks; p *= 2) {
     for (const auto& mode : bench::default_and_async()) {
@@ -57,6 +58,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   table.print();
-  cli.reject_unused();
   return 0;
 }

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
                       "Fig 9 — D vs AT, idle vs computing rank 0");
   const int ops = static_cast<int>(cli.get_int("ops", 8));
   const int max_ranks = static_cast<int>(cli.get_int("max_ranks", 4096));
+  bench::reject_unused_before_sweep(cli);
 
   Table table({"procs", "D_idle_us", "AT_idle_us", "D_compute_us", "AT_compute_us"});
   std::vector<int> sizes;
@@ -51,6 +52,5 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("(D = default progress, AT = asynchronous thread; compute = rank 0 "
               "busy in ~300us chunks between progress calls)\n");
-  cli.reject_unused();
   return 0;
 }

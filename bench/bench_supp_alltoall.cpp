@@ -88,6 +88,8 @@ int main(int argc, char** argv) {
   bench::print_banner("bench_supp_alltoall: all-to-all exchange, LogGP vs contention",
                       "transpose-pattern stress; bisection sensitivity bound");
   const std::size_t bytes = static_cast<std::size_t>(cli.get_int("bytes", 16384));
+  const int hm_ranks = static_cast<int>(cli.get_int("heatmap_ranks", 32));
+  bench::reject_unused_before_sweep(cli);
   Table table({"ranks", "loggp_ms", "contention_ms", "slowdown", "engine_ms",
                "engine_gain"});
   for (int p : {16, 32, 64, 128}) {
@@ -106,7 +108,6 @@ int main(int argc, char** argv) {
   // Per-link heatmaps for the two schedules at one size, side by side:
   // the naive rotated loop piles onto the bisection links while the
   // torus schedule spreads load over nearest-neighbour hops.
-  const int hm_ranks = static_cast<int>(cli.get_int("heatmap_ranks", 32));
   if (hm_ranks > 0) {
     std::string naive, engine;
     run_alltoall(cli, "contention", hm_ranks, bytes, &naive);
@@ -116,6 +117,5 @@ int main(int argc, char** argv) {
     std::printf("\n--- coll torus schedule, %d ranks, contention model ---\n%s",
                 hm_ranks, engine.c_str());
   }
-  cli.reject_unused();
   return 0;
 }

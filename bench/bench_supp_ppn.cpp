@@ -14,6 +14,11 @@ int main(int argc, char** argv) {
   bench::print_banner("bench_supp_ppn: processes-per-node (c) sweep at fixed p=64",
                       "Table II attribute c = 1..16");
   const std::size_t bytes = static_cast<std::size_t>(cli.get_int("bytes", 65536));
+  const int hp = static_cast<int>(cli.get_int("hier_ranks", 512));
+  const std::size_t hn =
+      static_cast<std::size_t>(cli.get_int("hier_doubles", 4096));
+  const int hiters = static_cast<int>(cli.get_int("hier_iters", 4));
+  bench::reject_unused_before_sweep(cli);
   Table table({"c(ppn)", "nodes", "ring_put_MB/s/rank", "fadd_avg_us", "shm_share_%"});
   for (int c : {1, 2, 4, 8, 16}) {
     armci::WorldConfig cfg = bench::make_world_config(cli, 64, c);
@@ -62,10 +67,6 @@ int main(int argc, char** argv) {
   // schedule (src/grp node + leaders groups) combines inside each node
   // first, so only one rank per node touches the torus — the win grows
   // with c. Contention model, so shared links actually cost.
-  const int hp = static_cast<int>(cli.get_int("hier_ranks", 512));
-  const std::size_t hn =
-      static_cast<std::size_t>(cli.get_int("hier_doubles", 4096));
-  const int hiters = static_cast<int>(cli.get_int("hier_iters", 4));
   Table ht({"c(ppn)", "nodes", "flat_allreduce_us", "hier_allreduce_us",
             "speedup"});
   for (int c : {1, 2, 4, 8, 16}) {
@@ -103,6 +104,5 @@ int main(int argc, char** argv) {
               " + leaders exchange + node fan-out; hier needs c >= 2 to have\n"
               " a node stage at all)\n",
               hp, hn);
-  cli.reject_unused();
   return 0;
 }

@@ -3,8 +3,9 @@
 // Every bench accepts "--key=value" overrides (see util/config.hpp);
 // common knobs: ranks, ranks_per_node (c), net (loggp|contention),
 // progress (default|async), contexts (rho), consistency
-// (target|region), seed. Each main calls Config::reject_unused after
-// its last read, so a key nothing read (a typo) fails the run.
+// (target|region), seed. Each main calls Config::reject_unused (or
+// reject_unused_before_sweep) after its last read and before its first
+// World, so a key nothing reads (a typo) fails before the run.
 #pragma once
 
 #include <cstdio>
@@ -88,6 +89,15 @@ inline armci::WorldConfig make_world_config(const Config& cli, int default_ranks
   // key fails before the run, not after it.
   armci::json_report_path_from_config(cli);
   return cfg;
+}
+
+/// For benches that build their Worlds inside a sweep: call after the
+/// bench's own reads and before the first World. Reads the keys
+/// make_world_config reads, then rejects every key nothing asked for,
+/// so a typo fails before the sweep runs instead of after it.
+inline void reject_unused_before_sweep(const Config& cli) {
+  make_world_config(cli, /*default_ranks=*/1);
+  cli.reject_unused();
 }
 
 /// End-of-run observability artifacts: writes the versioned

@@ -93,6 +93,18 @@ void apply_acc(std::byte* dst_raw, const std::byte* src_raw, std::uint64_t count
   for (std::uint64_t i = 0; i < count; ++i) dst[i] += alpha * src[i];
 }
 
+/// Lands one segment of a packed write (copy) or accumulate
+/// (dst += alpha * src over doubles) at the target.
+void land_write(std::byte* dst, const std::byte* src, std::uint64_t bytes, double alpha,
+                bool is_acc) {
+  if (is_acc) {
+    apply_acc<double>(dst, src, bytes / sizeof(double),
+                      reinterpret_cast<const std::byte*>(&alpha));
+  } else {
+    std::memcpy(dst, src, bytes);
+  }
+}
+
 struct RegionQueryHeader {
   const std::byte* addr;
   std::uint64_t bytes;
@@ -238,45 +250,24 @@ void Comm::finalize() {
 }
 
 void Comm::register_dispatch(pami::Context& ctx) {
-  ctx.set_dispatch(kDispatchAcc, [this](pami::Context& c, const pami::AmMessage& m) {
-    on_acc_message(c, m);
-  });
-  ctx.set_dispatch(kDispatchRegionQuery,
-                   [this](pami::Context& c, const pami::AmMessage& m) {
-                     on_region_query(c, m);
-                   });
-  ctx.set_dispatch(kDispatchRegionReply,
-                   [this](pami::Context& c, const pami::AmMessage& m) {
-                     on_region_reply(c, m);
-                   });
-  ctx.set_dispatch(kDispatchStridedWrite,
-                   [this](pami::Context& c, const pami::AmMessage& m) {
-                     on_strided_put(c, m);
-                   });
-  ctx.set_dispatch(kDispatchStridedGetReq,
-                   [this](pami::Context& c, const pami::AmMessage& m) {
-                     on_strided_get_request(c, m);
-                   });
-  ctx.set_dispatch(kDispatchStridedGetRep,
-                   [this](pami::Context& c, const pami::AmMessage& m) {
-                     on_strided_get_reply(c, m);
-                   });
-  ctx.set_dispatch(kDispatchVectorWrite,
-                   [this](pami::Context& c, const pami::AmMessage& m) {
-                     on_vector_write(c, m);
-                   });
-  ctx.set_dispatch(kDispatchVectorGetReq,
-                   [this](pami::Context& c, const pami::AmMessage& m) {
-                     on_vector_get_request(c, m);
-                   });
-  ctx.set_dispatch(kDispatchVectorGetRep,
-                   [this](pami::Context& c, const pami::AmMessage& m) {
-                     on_vector_get_reply(c, m);
-                   });
-  ctx.set_dispatch(kDispatchNotify,
-                   [this](pami::Context& c, const pami::AmMessage& m) {
-                     on_notify(c, m);
-                   });
+  using Handler = void (Comm::*)(pami::Context&, const pami::AmMessage&);
+  static constexpr std::pair<pami::DispatchId, Handler> kHandlers[] = {
+      {kDispatchAcc, &Comm::on_acc_message},
+      {kDispatchRegionQuery, &Comm::on_region_query},
+      {kDispatchRegionReply, &Comm::on_region_reply},
+      {kDispatchStridedWrite, &Comm::on_strided_put},
+      {kDispatchStridedGetReq, &Comm::on_strided_get_request},
+      {kDispatchStridedGetRep, &Comm::on_strided_get_reply},
+      {kDispatchVectorWrite, &Comm::on_vector_write},
+      {kDispatchVectorGetReq, &Comm::on_vector_get_request},
+      {kDispatchVectorGetRep, &Comm::on_vector_get_reply},
+      {kDispatchNotify, &Comm::on_notify},
+  };
+  for (const auto& [id, handler] : kHandlers) {
+    ctx.set_dispatch(id, [this, handler](pami::Context& c, const pami::AmMessage& m) {
+      (this->*handler)(c, m);
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -290,11 +281,10 @@ bool Comm::needs_context_lock() const {
          options().contexts_per_rank == 1;
 }
 
-namespace {
 /// Acquires the context lock (charging the lock cost) when the
 /// configuration shares a context between threads; no-op otherwise or
 /// when already held by this fiber (handlers nested under advance).
-class ProgressGuard {
+class Comm::ProgressGuard {
  public:
   ProgressGuard(bool needed, pami::Context& ctx, Time lock_cost)
       : ctx_(ctx) {
@@ -314,12 +304,23 @@ class ProgressGuard {
   pami::Context& ctx_;
   bool locked_ = false;
 };
-}  // namespace
+
+Comm::ProgressGuard Comm::lock_context(pami::Context& ctx) {
+  return ProgressGuard(needs_context_lock(), ctx,
+                       process_.machine().params().context_lock_cost);
+}
 
 std::size_t Comm::locked_advance(pami::Context& ctx) {
-  ProgressGuard guard(needs_context_lock(), ctx,
-                      process_.machine().params().context_lock_cost);
+  const ProgressGuard guard = lock_context(ctx);
   return ctx.advance();
+}
+
+void Comm::timed_wait(Time CommStats::*bucket, const std::function<bool()>& done,
+                      const std::function<void()>& issue) {
+  const Time t0 = now();
+  if (issue) issue();
+  progress_until(done);
+  stats_.*bucket += now() - t0;
 }
 
 void Comm::progress_until(const std::function<bool()>& pred) {
@@ -328,8 +329,7 @@ void Comm::progress_until(const std::function<bool()>& pred) {
     if (!deferred_gets_.empty()) flush_deferred_gets();
     bool done;
     {
-      ProgressGuard guard(needs_context_lock(), ctx,
-                          process_.machine().params().context_lock_cost);
+      const ProgressGuard guard = lock_context(ctx);
       ctx.advance();
       done = pred();
     }
@@ -451,15 +451,28 @@ pami::Endpoint Comm::service_endpoint(RankId target) {
 }
 
 void Comm::ensure_endpoint(RankId target, int context) {
-  if (!options().cache_endpoints) {
-    process_.create_endpoint(target, context);
-    ++stats_.endpoints_created;
-    return;
-  }
-  if (!endpoint_cache_->lookup_or_mark(target, context)) {
+  if (!options().cache_endpoints || !endpoint_cache_->lookup_or_mark(target, context)) {
     process_.create_endpoint(target, context);
     ++stats_.endpoints_created;
   }
+}
+
+void Comm::send_am(RankId target, pami::DispatchId dispatch,
+                   std::vector<std::byte> header, std::vector<std::byte> payload,
+                   pami::Callback on_local_done, const char* what, Time deadline) {
+  const ProgressGuard guard = lock_context(main_context());
+  main_context().send(service_endpoint(target), dispatch, std::move(header),
+                      std::move(payload), std::move(on_local_done), what, deadline);
+}
+
+const pami::MemoryRegion* Comm::collective_region(RankId target, const std::byte* addr,
+                                                  std::size_t bytes) const {
+  for (const auto& h : world_.heaps()) {
+    if (h && !h->freed() && h->contains(target, addr, bytes)) {
+      return &h->region_of(target);
+    }
+  }
+  return nullptr;
 }
 
 std::optional<pami::MemoryRegion> Comm::resolve_local_region(const void* addr,
@@ -477,12 +490,9 @@ std::optional<pami::MemoryRegion> Comm::resolve_remote_region(RankId target,
   if (target == rank()) return resolve_local_region(addr, bytes);
   // 1. Collectively allocated structures: metadata was exchanged at
   //    allocation time, no traffic needed.
-  for (const auto& h : world_.heaps()) {
-    if (h && !h->freed() && h->contains(target, addr, bytes)) {
-      const auto& r = h->region_of(target);
-      if (r.valid()) return r;
-      return std::nullopt;  // that rank's registration failed
-    }
+  if (const pami::MemoryRegion* r = collective_region(target, addr, bytes)) {
+    if (r->valid()) return *r;
+    return std::nullopt;  // that rank's registration failed
   }
   // 2. Bounded LFU cache of non-collective remote regions.
   if (auto r = region_cache_->lookup(target, addr, bytes)) return r;
@@ -498,10 +508,7 @@ std::optional<pami::MemoryRegion> Comm::resolve_remote_region(RankId target,
   std::vector<std::byte> header;
   append_pod(header, RegionQueryHeader{addr, bytes, cookie});
   try {
-    ProgressGuard guard(needs_context_lock(), main_context(),
-                        process_.machine().params().context_lock_cost);
-    main_context().send(service_endpoint(target), kDispatchRegionQuery,
-                        std::move(header), {}, nullptr, "region query");
+    send_am(target, kDispatchRegionQuery, std::move(header), {}, nullptr, "region query");
   } catch (...) {
     delete cookie;  // the query never left this rank; no reply will come
     throw;
@@ -518,11 +525,8 @@ std::uint64_t Comm::known_region_id(RankId target, const std::byte* addr,
     const auto r = process_.regions().find(addr, bytes);
     return r ? r->id : 0;
   }
-  for (const auto& h : world_.heaps()) {
-    if (h && !h->freed() && h->contains(target, addr, bytes)) {
-      const auto& r = h->region_of(target);
-      return r.valid() ? r.id : 0;
-    }
+  if (const pami::MemoryRegion* r = collective_region(target, addr, bytes)) {
+    return r->valid() ? r->id : 0;
   }
   if (auto r = region_cache_->lookup(target, addr, bytes)) return r->id;
   return 0;
@@ -531,11 +535,6 @@ std::uint64_t Comm::known_region_id(RankId target, const std::byte* addr,
 // ---------------------------------------------------------------------------
 // Write tracking & consistency
 // ---------------------------------------------------------------------------
-
-void Comm::track_write(RankId target, std::uint64_t region_id,
-                       ConflictTracker::Key* key_out) {
-  *key_out = tracker_->on_write_initiated(target, region_id);
-}
 
 pami::Callback Comm::make_ack(const ConflictTracker::Key& key) {
   return [this, key] { tracker_->on_write_acked(key); };
@@ -554,10 +553,7 @@ void Comm::notify(RankId target) {
   // write this process issued to the target.
   fence(target);
   ensure_endpoint(target, service_context_index_);
-  ProgressGuard guard(needs_context_lock(), main_context(),
-                      process_.machine().params().context_lock_cost);
-  main_context().send(service_endpoint(target), kDispatchNotify, {}, {}, nullptr,
-                      "notify");
+  send_am(target, kDispatchNotify, {}, {}, nullptr, "notify");
 }
 
 void Comm::wait_notify(RankId producer, std::uint64_t count) {
@@ -579,16 +575,14 @@ void Comm::on_notify(pami::Context& ctx, const pami::AmMessage& msg) {
 
 void Comm::fence(RankId target) {
   ++stats_.fence_calls;
-  const Time t0 = now();
-  progress_until([this, target] { return tracker_->outstanding_to(target) == 0; });
-  stats_.time_in_fence += now() - t0;
+  timed_wait(&CommStats::time_in_fence,
+             [this, target] { return tracker_->outstanding_to(target) == 0; });
 }
 
 void Comm::fence_all() {
   ++stats_.fence_calls;
-  const Time t0 = now();
-  progress_until([this] { return tracker_->outstanding_total() == 0; });
-  stats_.time_in_fence += now() - t0;
+  timed_wait(&CommStats::time_in_fence,
+             [this] { return tracker_->outstanding_total() == 0; });
 }
 
 void Comm::barrier() {
@@ -631,13 +625,11 @@ pami::Callback Comm::make_done(Handle& handle) {
 }
 
 void Comm::wait(Handle& handle) {
-  const Time t0 = now();
-  progress_until([&handle] { return handle.done(); });
-  stats_.time_in_wait += now() - t0;
+  timed_wait(&CommStats::time_in_wait, [&handle] { return handle.done(); });
 }
 
 bool Comm::test(Handle& handle) {
-  locked_advance(main_context());
+  progress();
   return handle.done();
 }
 
@@ -649,16 +641,15 @@ void Comm::idle_until(Time t) {
 }
 
 bool Comm::wait_until(Handle& handle, Time t) {
-  const Time t0 = now();
   if (!handle.done() && now() < t) {
     // The timer must survive an abort unwind of this frame: a fail-stop
     // recovery can leave the posted item pending, and it fires into the
     // shared_ptr, not this stack.
     auto fired = std::make_shared<bool>(false);
     main_context().post_completion_at(t, [fired] { *fired = true; }, 0);
-    progress_until([&handle, fired] { return handle.done() || *fired; });
+    timed_wait(&CommStats::time_in_wait,
+               [&handle, fired] { return handle.done() || *fired; });
   }
-  stats_.time_in_wait += now() - t0;
   return handle.done();
 }
 
@@ -669,14 +660,12 @@ bool Comm::wait_any(Handle& a, Handle& b) {
 
 std::vector<std::size_t> Comm::wait_some(const std::vector<Handle*>& hs) {
   PGASQ_CHECK(!hs.empty(), << "wait_some over an empty handle set");
-  const Time t0 = now();
-  progress_until([&hs] {
+  timed_wait(&CommStats::time_in_wait, [&hs] {
     for (const Handle* h : hs) {
       if (h->done()) return true;
     }
     return false;
   });
-  stats_.time_in_wait += now() - t0;
   std::vector<std::size_t> done;
   for (std::size_t i = 0; i < hs.size(); ++i) {
     if (hs[i]->done()) done.push_back(i);
@@ -685,8 +674,7 @@ std::vector<std::size_t> Comm::wait_some(const std::vector<Handle*>& hs) {
 }
 
 bool Comm::test_all(const std::vector<Handle*>& hs) {
-  locked_advance(main_context());
-  if (async_hook_) async_hook_();
+  progress();
   for (const Handle* h : hs) {
     if (!h->done()) return false;
   }
@@ -758,8 +746,8 @@ void Comm::nb_put(const void* src, RemotePtr dst, std::size_t bytes, Handle& han
   stats_.put_sizes.add(bytes);
   auto remote = resolve_remote_region(dst.rank, dst.addr, bytes);
   auto local = resolve_local_region(src, bytes);
-  ConflictTracker::Key key;
-  track_write(dst.rank, remote ? remote->id : 0, &key);
+  const ConflictTracker::Key key =
+      tracker_->on_write_initiated(dst.rank, remote ? remote->id : 0);
   attach(handle, 1);
   // Remote completion (async runtime, Cx::kRemote) rides the same ack
   // leg the conflict tracker already pays for.
@@ -772,8 +760,7 @@ void Comm::nb_put(const void* src, RemotePtr dst, std::size_t bytes, Handle& han
   }
   const bool rdma = remote.has_value() && local.has_value();
   ensure_endpoint(dst.rank, rdma ? 0 : service_context_index_);
-  ProgressGuard guard(needs_context_lock(), main_context(),
-                      process_.machine().params().context_lock_cost);
+  const ProgressGuard guard = lock_context(main_context());
   if (rdma) {
     ++stats_.rdma_puts;
     const auto loff =
@@ -790,11 +777,9 @@ void Comm::nb_put(const void* src, RemotePtr dst, std::size_t bytes, Handle& han
 }
 
 void Comm::put(const void* src, RemotePtr dst, std::size_t bytes) {
-  const Time t0 = now();
   Handle h;
-  nb_put(src, dst, bytes, h);
-  progress_until([&h] { return h.done(); });
-  stats_.time_in_put += now() - t0;
+  timed_wait(&CommStats::time_in_put, [&h] { return h.done(); },
+             [&] { nb_put(src, dst, bytes, h); });
 }
 
 void Comm::nb_get(RemotePtr src, void* dst, std::size_t bytes, Handle& handle) {
@@ -809,8 +794,7 @@ void Comm::nb_get(RemotePtr src, void* dst, std::size_t bytes, Handle& handle) {
   attach(handle, 1);
   const bool rdma = remote.has_value() && local.has_value();
   ensure_endpoint(src.rank, rdma ? 0 : service_context_index_);
-  ProgressGuard guard(needs_context_lock(), main_context(),
-                      process_.machine().params().context_lock_cost);
+  const ProgressGuard guard = lock_context(main_context());
   if (rdma) {
     ++stats_.rdma_gets;
     const auto loff =
@@ -837,11 +821,9 @@ void Comm::nb_get(RemotePtr src, void* dst, std::size_t bytes, Handle& handle) {
 }
 
 void Comm::get(RemotePtr src, void* dst, std::size_t bytes) {
-  const Time t0 = now();
   Handle h;
-  nb_get(src, dst, bytes, h);
-  progress_until([&h] { return h.done(); });
-  stats_.time_in_get += now() - t0;
+  timed_wait(&CommStats::time_in_get, [&h] { return h.done(); },
+             [&] { nb_get(src, dst, bytes, h); });
   if (deadline_expired_) {
     deadline_expired_ = false;
     throw_op_expired("get", src.rank);
@@ -899,8 +881,8 @@ void Comm::nb_acc_t(T alpha, const T* src, RemotePtr dst, std::size_t count,
   const std::size_t bytes = count * sizeof(T);
   stats_.bytes_acc += bytes;
   stats_.acc_sizes.add(bytes);
-  ConflictTracker::Key key;
-  track_write(dst.rank, known_region_id(dst.rank, dst.addr, bytes), &key);
+  const ConflictTracker::Key key =
+      tracker_->on_write_initiated(dst.rank, known_region_id(dst.rank, dst.addr, bytes));
   attach(handle, 1);
   ensure_endpoint(dst.rank, service_context_index_);
   AccHeader h{dst.addr, count, acc_wire_type<T>(), {},
@@ -910,20 +892,15 @@ void Comm::nb_acc_t(T alpha, const T* src, RemotePtr dst, std::size_t count,
   append_pod(header, h);
   std::vector<std::byte> payload(bytes);
   std::memcpy(payload.data(), src, bytes);
-  ProgressGuard guard(needs_context_lock(), main_context(),
-                      process_.machine().params().context_lock_cost);
-  main_context().send(service_endpoint(dst.rank), kDispatchAcc, std::move(header),
-                      std::move(payload), make_done(handle), "accumulate",
-                      op_deadline_);
+  send_am(dst.rank, kDispatchAcc, std::move(header), std::move(payload),
+          make_done(handle), "accumulate", op_deadline_);
 }
 
 template <typename T>
 void Comm::acc_t(T alpha, const T* src, RemotePtr dst, std::size_t count) {
-  const Time t0 = now();
   Handle h;
-  nb_acc_t(alpha, src, dst, count, h);
-  progress_until([&h] { return h.done(); });
-  stats_.time_in_acc += now() - t0;
+  timed_wait(&CommStats::time_in_acc, [&h] { return h.done(); },
+             [&] { nb_acc_t(alpha, src, dst, count, h); });
 }
 
 // The ARMCI_ACC_* datatypes.
@@ -1001,8 +978,7 @@ void Comm::strided_zero_copy(Dir dir, std::byte* local,
   const auto lbase = static_cast<std::uint64_t>(local - local_mr.base);
   const auto rbase = static_cast<std::uint64_t>(remote.addr - remote_mr.base);
   ConflictTracker::Key key{remote.rank, remote_mr.id};
-  ProgressGuard guard(needs_context_lock(), main_context(),
-                      process_.machine().params().context_lock_cost);
+  const ProgressGuard guard = lock_context(main_context());
   spec.for_each_chunk([&](std::uint64_t soff, std::uint64_t doff) {
     if (dir == Dir::kPut) {
       // Spec src side is local, dst side is remote.
@@ -1033,11 +1009,10 @@ void Comm::strided_typed(Dir dir, std::byte* local, const pami::MemoryRegion& lo
       chunks.push_back({lbase + doff, rbase + soff, spec.chunk_bytes()});
     }
   });
-  ProgressGuard guard(needs_context_lock(), main_context(),
-                      process_.machine().params().context_lock_cost);
+  const ProgressGuard guard = lock_context(main_context());
   if (dir == Dir::kPut) {
-    ConflictTracker::Key key;
-    track_write(remote.rank, remote_mr.id, &key);
+    const ConflictTracker::Key key =
+        tracker_->on_write_initiated(remote.rank, remote_mr.id);
     main_context().rput_typed(local_mr, remote_mr, chunks, make_done(handle),
                               make_ack(key), "strided typed put");
   } else {
@@ -1049,40 +1024,43 @@ void Comm::strided_typed(Dir dir, std::byte* local, const pami::MemoryRegion& lo
 void Comm::strided_packed(Dir dir, std::byte* local, RemotePtr remote,
                           const StridedSpec& spec, Handle& handle) {
   ++stats_.packed_ops;
-  const auto& p = process_.machine().params();
-  const std::uint64_t total = spec.total_bytes();
+  if (dir == Dir::kPut) {
+    send_strided_write(local, remote, spec, 0.0, /*is_acc=*/false, handle);
+    return;
+  }
   attach(handle, 1);
   ensure_endpoint(remote.rank, service_context_index_);
-  if (dir == Dir::kPut) {
-    ConflictTracker::Key key;
-    track_write(remote.rank, known_region_id(remote.rank, remote.addr, 1), &key);
-    // Pack at the source (the legacy protocol's first copy).
-    process_.busy(from_ns(p.pack_ns_per_byte * static_cast<double>(total)));
-    std::vector<std::byte> payload(total);
-    std::uint64_t pos = 0;
-    spec.for_each_chunk([&](std::uint64_t soff, std::uint64_t) {
-      std::memcpy(payload.data() + pos, local + soff, spec.chunk_bytes());
-      pos += spec.chunk_bytes();
-    });
-    std::vector<std::byte> header;
-    append_pod(header, StridedWriteHeader{remote.addr, new AckClosure{this, key, nullptr},
-                                          0.0, /*is_acc=*/0});
-    append_spec(header, spec);
-    ProgressGuard guard(needs_context_lock(), main_context(),
-                        process_.machine().params().context_lock_cost);
-    main_context().send(service_endpoint(remote.rank), kDispatchStridedWrite,
-                        std::move(header), std::move(payload), make_done(handle),
-                        "strided write");
-  } else {
-    auto* closure = new GetReplyClosure{handle.state(), local, spec};
-    std::vector<std::byte> header;
-    append_pod(header, StridedGetReqHeader{remote.addr, closure});
-    append_spec(header, spec);
-    ProgressGuard guard(needs_context_lock(), main_context(),
-                        process_.machine().params().context_lock_cost);
-    main_context().send(service_endpoint(remote.rank), kDispatchStridedGetReq,
-                        std::move(header), {}, nullptr, "strided get request");
-  }
+  auto* closure = new GetReplyClosure{handle.state(), local, spec};
+  std::vector<std::byte> header;
+  append_pod(header, StridedGetReqHeader{remote.addr, closure});
+  append_spec(header, spec);
+  send_am(remote.rank, kDispatchStridedGetReq, std::move(header), {}, nullptr,
+          "strided get request");
+}
+
+void Comm::send_strided_write(const std::byte* local, RemotePtr remote,
+                              const StridedSpec& spec, double alpha, bool is_acc,
+                              Handle& handle) {
+  const ConflictTracker::Key key = tracker_->on_write_initiated(
+      remote.rank, known_region_id(remote.rank, remote.addr, 1));
+  attach(handle, 1);
+  ensure_endpoint(remote.rank, service_context_index_);
+  // Pack at the source (the legacy protocol's first copy).
+  const std::uint64_t total = spec.total_bytes();
+  process_.busy(
+      from_ns(process_.machine().params().pack_ns_per_byte * static_cast<double>(total)));
+  std::vector<std::byte> payload(total);
+  std::uint64_t pos = 0;
+  spec.for_each_chunk([&](std::uint64_t soff, std::uint64_t) {
+    std::memcpy(payload.data() + pos, local + soff, spec.chunk_bytes());
+    pos += spec.chunk_bytes();
+  });
+  std::vector<std::byte> header;
+  append_pod(header, StridedWriteHeader{remote.addr, new AckClosure{this, key, nullptr},
+                                        alpha, is_acc});
+  append_spec(header, spec);
+  send_am(remote.rank, kDispatchStridedWrite, std::move(header), std::move(payload),
+          make_done(handle), is_acc ? "strided accumulate" : "strided write");
 }
 
 void Comm::nb_put_strided(const void* src, RemotePtr dst, const StridedSpec& spec,
@@ -1147,60 +1125,33 @@ void Comm::nb_acc_strided(double alpha, const double* src, RemotePtr dst,
                           const StridedSpec& spec, Handle& handle) {
   PGASQ_CHECK(src != nullptr && dst.valid());
   ++stats_.strided_accs;
-  const auto& p = process_.machine().params();
-  const std::uint64_t total = spec.total_bytes();
-  stats_.bytes_acc += total;
-  stats_.acc_sizes.add(total);
+  stats_.bytes_acc += spec.total_bytes();
+  stats_.acc_sizes.add(spec.total_bytes());
   PGASQ_CHECK(spec.chunk_bytes() % sizeof(double) == 0,
               << "accumulate chunks must be whole doubles");
-  ConflictTracker::Key key;
-  track_write(dst.rank, known_region_id(dst.rank, dst.addr, 1), &key);
-  attach(handle, 1);
-  ensure_endpoint(dst.rank, service_context_index_);
   // Accumulates always travel as active messages (the target must
-  // apply the reduction), packed in canonical chunk order.
-  process_.busy(from_ns(p.pack_ns_per_byte * static_cast<double>(total)));
-  std::vector<std::byte> payload(total);
-  std::uint64_t pos = 0;
-  const auto* lbase = reinterpret_cast<const std::byte*>(src);
-  spec.for_each_chunk([&](std::uint64_t soff, std::uint64_t) {
-    std::memcpy(payload.data() + pos, lbase + soff, spec.chunk_bytes());
-    pos += spec.chunk_bytes();
-  });
-  std::vector<std::byte> header;
-  append_pod(header, StridedWriteHeader{dst.addr, new AckClosure{this, key, nullptr}, alpha,
-                                        /*is_acc=*/1});
-  append_spec(header, spec);
-  ProgressGuard guard(needs_context_lock(), main_context(),
-                      process_.machine().params().context_lock_cost);
-  main_context().send(service_endpoint(dst.rank), kDispatchStridedWrite,
-                      std::move(header), std::move(payload), make_done(handle),
-                      "strided accumulate");
+  // apply the reduction).
+  send_strided_write(reinterpret_cast<const std::byte*>(src), dst, spec, alpha,
+                     /*is_acc=*/true, handle);
 }
 
 void Comm::put_strided(const void* src, RemotePtr dst, const StridedSpec& spec) {
-  const Time t0 = now();
   Handle h;
-  nb_put_strided(src, dst, spec, h);
-  progress_until([&h] { return h.done(); });
-  stats_.time_in_put += now() - t0;
+  timed_wait(&CommStats::time_in_put, [&h] { return h.done(); },
+             [&] { nb_put_strided(src, dst, spec, h); });
 }
 
 void Comm::get_strided(RemotePtr src, void* dst, const StridedSpec& spec) {
-  const Time t0 = now();
   Handle h;
-  nb_get_strided(src, dst, spec, h);
-  progress_until([&h] { return h.done(); });
-  stats_.time_in_get += now() - t0;
+  timed_wait(&CommStats::time_in_get, [&h] { return h.done(); },
+             [&] { nb_get_strided(src, dst, spec, h); });
 }
 
 void Comm::acc_strided(double alpha, const double* src, RemotePtr dst,
                        const StridedSpec& spec) {
-  const Time t0 = now();
   Handle h;
-  nb_acc_strided(alpha, src, dst, spec, h);
-  progress_until([&h] { return h.done(); });
-  stats_.time_in_acc += now() - t0;
+  timed_wait(&CommStats::time_in_acc, [&h] { return h.done(); },
+             [&] { nb_acc_strided(alpha, src, dst, spec, h); });
 }
 
 // ---------------------------------------------------------------------------
@@ -1245,11 +1196,9 @@ void Comm::nb_put_v(RankId target, const VectorDescriptor& desc, Handle& handle)
     attach(handle, static_cast<int>(desc.count()));
     stats_.zero_copy_chunks += desc.count();
     ensure_endpoint(target, 0);
-    ProgressGuard guard(needs_context_lock(), main_context(),
-                        process_.machine().params().context_lock_cost);
+    const ProgressGuard guard = lock_context(main_context());
     for (std::size_t i = 0; i < desc.count(); ++i) {
-      ConflictTracker::Key key;
-      track_write(target, rmrs[i].id, &key);
+      const ConflictTracker::Key key = tracker_->on_write_initiated(target, rmrs[i].id);
       main_context().rput(
           lmrs[i], static_cast<std::uint64_t>(desc.local[i] - lmrs[i].base),
           rmrs[i], static_cast<std::uint64_t>(desc.remote[i] - rmrs[i].base),
@@ -1259,26 +1208,27 @@ void Comm::nb_put_v(RankId target, const VectorDescriptor& desc, Handle& handle)
   }
   // Packed fall-back: one AM carrying the address list + payload.
   ++stats_.packed_ops;
+  send_vector_write(target, desc, 0.0, /*is_acc=*/false, handle);
+}
+
+void Comm::send_vector_write(RankId target, const VectorDescriptor& desc, double alpha,
+                             bool is_acc, Handle& handle) {
   attach(handle, 1);
-  ConflictTracker::Key key;
-  track_write(target, 0, &key);
+  const ConflictTracker::Key key = tracker_->on_write_initiated(target, 0);
   ensure_endpoint(target, service_context_index_);
-  const auto& p = process_.machine().params();
-  process_.busy(from_ns(p.pack_ns_per_byte * static_cast<double>(desc.total_bytes())));
+  process_.busy(from_ns(process_.machine().params().pack_ns_per_byte *
+                        static_cast<double>(desc.total_bytes())));
   std::vector<std::byte> header;
-  append_pod(header, VectorWriteHeader{desc.count(), desc.segment_bytes, 0.0,
-                                       /*is_acc=*/0, new AckClosure{this, key, nullptr}});
+  append_pod(header, VectorWriteHeader{desc.count(), desc.segment_bytes, alpha, is_acc,
+                                       new AckClosure{this, key, nullptr}});
   for (auto* r : desc.remote) append_pod(header, r);
   std::vector<std::byte> payload(desc.total_bytes());
   for (std::size_t i = 0; i < desc.count(); ++i) {
     std::memcpy(payload.data() + i * desc.segment_bytes, desc.local[i],
                 desc.segment_bytes);
   }
-  ProgressGuard guard(needs_context_lock(), main_context(),
-                      process_.machine().params().context_lock_cost);
-  main_context().send(service_endpoint(target), kDispatchVectorWrite,
-                      std::move(header), std::move(payload), make_done(handle),
-                      "vector write");
+  send_am(target, kDispatchVectorWrite, std::move(header), std::move(payload),
+          make_done(handle), is_acc ? "vector accumulate" : "vector write");
 }
 
 void Comm::nb_get_v(RankId target, const VectorDescriptor& desc, Handle& handle) {
@@ -1294,8 +1244,7 @@ void Comm::nb_get_v(RankId target, const VectorDescriptor& desc, Handle& handle)
     attach(handle, static_cast<int>(desc.count()));
     stats_.zero_copy_chunks += desc.count();
     ensure_endpoint(target, 0);
-    ProgressGuard guard(needs_context_lock(), main_context(),
-                        process_.machine().params().context_lock_cost);
+    const ProgressGuard guard = lock_context(main_context());
     for (std::size_t i = 0; i < desc.count(); ++i) {
       main_context().rget(
           lmrs[i], static_cast<std::uint64_t>(desc.local[i] - lmrs[i].base),
@@ -1313,10 +1262,8 @@ void Comm::nb_get_v(RankId target, const VectorDescriptor& desc, Handle& handle)
   std::vector<std::byte> header;
   append_pod(header, VectorGetReqHeader{desc.count(), desc.segment_bytes, closure});
   for (auto* r : desc.remote) append_pod(header, r);
-  ProgressGuard guard(needs_context_lock(), main_context(),
-                      process_.machine().params().context_lock_cost);
-  main_context().send(service_endpoint(target), kDispatchVectorGetReq,
-                      std::move(header), {}, nullptr, "vector get request");
+  send_am(target, kDispatchVectorGetReq, std::move(header), {}, nullptr,
+          "vector get request");
 }
 
 void Comm::nb_acc_v(double alpha, RankId target, const VectorDescriptor& desc,
@@ -1328,50 +1275,25 @@ void Comm::nb_acc_v(double alpha, RankId target, const VectorDescriptor& desc,
   stats_.bytes_acc += desc.total_bytes();
   stats_.acc_sizes.add(desc.total_bytes());
   // Accumulates always go through the target's reduction handler.
-  attach(handle, 1);
-  ConflictTracker::Key key;
-  track_write(target, 0, &key);
-  ensure_endpoint(target, service_context_index_);
-  const auto& p = process_.machine().params();
-  process_.busy(from_ns(p.pack_ns_per_byte * static_cast<double>(desc.total_bytes())));
-  std::vector<std::byte> header;
-  append_pod(header, VectorWriteHeader{desc.count(), desc.segment_bytes, alpha,
-                                       /*is_acc=*/1, new AckClosure{this, key, nullptr}});
-  for (auto* r : desc.remote) append_pod(header, r);
-  std::vector<std::byte> payload(desc.total_bytes());
-  for (std::size_t i = 0; i < desc.count(); ++i) {
-    std::memcpy(payload.data() + i * desc.segment_bytes, desc.local[i],
-                desc.segment_bytes);
-  }
-  ProgressGuard guard(needs_context_lock(), main_context(),
-                      process_.machine().params().context_lock_cost);
-  main_context().send(service_endpoint(target), kDispatchVectorWrite,
-                      std::move(header), std::move(payload), make_done(handle),
-                      "vector accumulate");
+  send_vector_write(target, desc, alpha, /*is_acc=*/true, handle);
 }
 
 void Comm::put_v(RankId target, const VectorDescriptor& desc) {
-  const Time t0 = now();
   Handle h;
-  nb_put_v(target, desc, h);
-  progress_until([&h] { return h.done(); });
-  stats_.time_in_put += now() - t0;
+  timed_wait(&CommStats::time_in_put, [&h] { return h.done(); },
+             [&] { nb_put_v(target, desc, h); });
 }
 
 void Comm::get_v(RankId target, const VectorDescriptor& desc) {
-  const Time t0 = now();
   Handle h;
-  nb_get_v(target, desc, h);
-  progress_until([&h] { return h.done(); });
-  stats_.time_in_get += now() - t0;
+  timed_wait(&CommStats::time_in_get, [&h] { return h.done(); },
+             [&] { nb_get_v(target, desc, h); });
 }
 
 void Comm::acc_v(double alpha, RankId target, const VectorDescriptor& desc) {
-  const Time t0 = now();
   Handle h;
-  nb_acc_v(alpha, target, desc, h);
-  progress_until([&h] { return h.done(); });
-  stats_.time_in_acc += now() - t0;
+  timed_wait(&CommStats::time_in_acc, [&h] { return h.done(); },
+             [&] { nb_acc_v(alpha, target, desc, h); });
 }
 
 void Comm::on_vector_write(pami::Context& ctx, const pami::AmMessage& msg) {
@@ -1381,27 +1303,10 @@ void Comm::on_vector_write(pami::Context& ctx, const pami::AmMessage& msg) {
   const double rate = h.is_acc ? params.acc_apply_ns_per_byte : params.pack_ns_per_byte;
   process_.busy(from_ns(rate * static_cast<double>(h.segments * h.segment_bytes)));
   for (std::uint64_t i = 0; i < h.segments; ++i) {
-    auto* dst = read_pod<std::byte*>(p);
-    const std::byte* src = msg.payload.data() + i * h.segment_bytes;
-    if (h.is_acc) {
-      auto* d = reinterpret_cast<double*>(dst);
-      const auto* s = reinterpret_cast<const double*>(src);
-      for (std::uint64_t k = 0; k < h.segment_bytes / sizeof(double); ++k) {
-        d[k] += h.alpha * s[k];
-      }
-    } else {
-      std::memcpy(dst, src, h.segment_bytes);
-    }
+    land_write(read_pod<std::byte*>(p), msg.payload.data() + i * h.segment_bytes,
+               h.segment_bytes, h.alpha, h.is_acc);
   }
-  auto* closure = static_cast<AckClosure*>(h.ack);
-  auto& m = process_.machine();
-  const int src_node = m.mapping().node_of_rank(msg.source.rank);
-  const auto ack = ctx.wire_control(process_.node(), src_node, now(), "write ack");
-  m.engine().schedule_at(ack.arrive, [closure] {
-    closure->source->write_acked_from_wire(closure->key);
-    if (closure->extra) closure->extra();
-    delete closure;
-  });
+  ack_write(ctx, msg, h.ack);
 }
 
 void Comm::on_vector_get_request(pami::Context& ctx, const pami::AmMessage& msg) {
@@ -1461,83 +1366,41 @@ void Comm::throw_op_expired(const char* what, RankId target) {
   throw flow::DeadlineError(what, src_node, dst_node, 0, os.str());
 }
 
-std::int64_t Comm::fetch_add(RemotePtr counter, std::int64_t delta) {
+std::int64_t Comm::rmw(RemotePtr word, pami::RmwOp op, std::int64_t operand,
+                       std::int64_t compare, const char* what) {
   ++stats_.rmws;
-  const Time t0 = now();
-  maybe_fence_before_read(counter.rank,
-                          known_region_id(counter.rank, counter.addr, 8));
-  ensure_endpoint(counter.rank, service_context_index_);
   // Heap-shared completion box: a fail-stop abort can unwind this frame
   // while the reply event is still in flight.
   auto box = std::make_shared<std::pair<bool, std::int64_t>>(false, 0);
-  {
-    ProgressGuard guard(needs_context_lock(), main_context(),
-                        process_.machine().params().context_lock_cost);
-    main_context().rmw(service_endpoint(counter.rank), checked_word(counter),
-                       pami::RmwOp::kFetchAdd, delta, 0,
+  timed_wait(&CommStats::time_in_rmw, [box] { return box->first; }, [&] {
+    maybe_fence_before_read(word.rank, known_region_id(word.rank, word.addr, 8));
+    ensure_endpoint(word.rank, service_context_index_);
+    const ProgressGuard guard = lock_context(main_context());
+    main_context().rmw(service_endpoint(word.rank), checked_word(word), op, operand,
+                       compare,
                        [box](std::int64_t old) {
                          box->second = old;
                          box->first = true;
                        },
                        op_deadline_);
-  }
-  progress_until([box] { return box->first; });
-  stats_.time_in_rmw += now() - t0;
+  });
   if (op_deadline_ != 0 && box->second == flow::kExpiredRmw) {
-    throw_op_expired("fetch_add", counter.rank);
+    throw_op_expired(what, word.rank);
   }
   return box->second;
 }
 
+std::int64_t Comm::fetch_add(RemotePtr counter, std::int64_t delta) {
+  return rmw(counter, pami::RmwOp::kFetchAdd, delta, 0, "fetch_add");
+}
+
 std::int64_t Comm::swap(RemotePtr word, std::int64_t value) {
-  ++stats_.rmws;
-  const Time t0 = now();
-  maybe_fence_before_read(word.rank, known_region_id(word.rank, word.addr, 8));
-  ensure_endpoint(word.rank, service_context_index_);
-  auto box = std::make_shared<std::pair<bool, std::int64_t>>(false, 0);
-  {
-    ProgressGuard guard(needs_context_lock(), main_context(),
-                        process_.machine().params().context_lock_cost);
-    main_context().rmw(service_endpoint(word.rank), checked_word(word),
-                       pami::RmwOp::kSwap, value, 0,
-                       [box](std::int64_t old) {
-                         box->second = old;
-                         box->first = true;
-                       },
-                       op_deadline_);
-  }
-  progress_until([box] { return box->first; });
-  stats_.time_in_rmw += now() - t0;
-  if (op_deadline_ != 0 && box->second == flow::kExpiredRmw) {
-    throw_op_expired("swap", word.rank);
-  }
-  return box->second;
+  return rmw(word, pami::RmwOp::kSwap, value, 0, "swap");
 }
 
 std::int64_t Comm::compare_swap(RemotePtr word, std::int64_t compare,
                                 std::int64_t value) {
-  ++stats_.rmws;
-  const Time t0 = now();
-  maybe_fence_before_read(word.rank, known_region_id(word.rank, word.addr, 8));
-  ensure_endpoint(word.rank, service_context_index_);
-  auto box = std::make_shared<std::pair<bool, std::int64_t>>(false, 0);
-  {
-    ProgressGuard guard(needs_context_lock(), main_context(),
-                        process_.machine().params().context_lock_cost);
-    main_context().rmw(service_endpoint(word.rank), checked_word(word),
-                       pami::RmwOp::kCompareSwap, value, compare,
-                       [box](std::int64_t old) {
-                         box->second = old;
-                         box->first = true;
-                       },
-                       op_deadline_);
-  }
-  progress_until([box] { return box->first; });
-  stats_.time_in_rmw += now() - t0;
-  if (op_deadline_ != 0 && box->second == flow::kExpiredRmw) {
-    throw_op_expired("compare_swap", word.rank);
-  }
-  return box->second;
+  return rmw(word, pami::RmwOp::kCompareSwap, value, compare, "compare_swap");
 }
 
 // ---------------------------------------------------------------------------
@@ -1605,8 +1468,12 @@ void Comm::on_acc_message(pami::Context& ctx, const pami::AmMessage& msg) {
         break;
     }
   }
+  ack_write(ctx, msg, h.ack);
+}
+
+void Comm::ack_write(pami::Context& ctx, const pami::AmMessage& msg, void* cookie) {
   // NIC-level ack back to the writer for its fence accounting.
-  auto* closure = static_cast<AckClosure*>(h.ack);
+  auto* closure = static_cast<AckClosure*>(cookie);
   auto& m = process_.machine();
   const int src_node = m.mapping().node_of_rank(msg.source.rank);
   const auto ack = ctx.wire_control(process_.node(), src_node, now(), "write ack");
@@ -1656,26 +1523,11 @@ void Comm::on_strided_put(pami::Context& ctx, const pami::AmMessage& msg) {
   // Scatter the canonical-order payload through the destination spec.
   std::uint64_t pos = 0;
   spec.for_each_chunk([&](std::uint64_t, std::uint64_t doff) {
-    if (h.is_acc) {
-      auto* dst = reinterpret_cast<double*>(h.dst_base + doff);
-      const auto* src = reinterpret_cast<const double*>(msg.payload.data() + pos);
-      for (std::uint64_t i = 0; i < spec.chunk_bytes() / sizeof(double); ++i) {
-        dst[i] += h.alpha * src[i];
-      }
-    } else {
-      std::memcpy(h.dst_base + doff, msg.payload.data() + pos, spec.chunk_bytes());
-    }
+    land_write(h.dst_base + doff, msg.payload.data() + pos, spec.chunk_bytes(), h.alpha,
+               h.is_acc);
     pos += spec.chunk_bytes();
   });
-  auto* closure = static_cast<AckClosure*>(h.ack);
-  auto& m = process_.machine();
-  const int src_node = m.mapping().node_of_rank(msg.source.rank);
-  const auto ack = ctx.wire_control(process_.node(), src_node, now(), "write ack");
-  m.engine().schedule_at(ack.arrive, [closure] {
-    closure->source->write_acked_from_wire(closure->key);
-    if (closure->extra) closure->extra();
-    delete closure;
-  });
+  ack_write(ctx, msg, h.ack);
 }
 
 void Comm::on_strided_get_request(pami::Context& ctx, const pami::AmMessage& msg) {

@@ -204,6 +204,8 @@ class Comm {
   // --- Completion & synchronization --------------------------------------------
 
   void wait(Handle& handle);
+  /// One progress() pass; true iff `handle` has completed. Polling
+  /// test() alone drives every op to completion, deferred gets too.
   bool test(Handle& handle);
   /// Blocks until `handle` completes or virtual time reaches `t`,
   /// whichever is earlier; returns handle.done(). The timeout is a
@@ -220,8 +222,7 @@ class Comm {
   /// completes; returns the indices of every completed handle,
   /// ascending. Losers stay in flight (wait_any's contract).
   std::vector<std::size_t> wait_some(const std::vector<Handle*>& hs);
-  /// One progress pass (plus an async-runtime drain when attached);
-  /// true iff every handle in `hs` has completed.
+  /// One progress() pass; true iff every handle in `hs` has completed.
   bool test_all(const std::vector<Handle*>& hs);
   /// One explicit progress-engine call (what a Default-mode
   /// application must sprinkle into compute phases to service remote
@@ -384,11 +385,19 @@ class Comm {
 
  private:
   struct AckClosure;
+  class ProgressGuard;
 
   // Progress & locking.
   bool needs_context_lock() const;
+  /// Holds `ctx`'s lock (charging its cost) while the returned guard
+  /// lives, when the configuration shares a context between threads.
+  ProgressGuard lock_context(pami::Context& ctx);
   /// Returns the number of items serviced (Context::advance's count).
   std::size_t locked_advance(pami::Context& ctx);
+  /// Runs `issue` (when given), then parks until `done()`; the virtual
+  /// time of both is charged to `bucket`. Every timed blocking call.
+  void timed_wait(Time CommStats::*bucket, const std::function<bool()>& done,
+                  const std::function<void()>& issue = nullptr);
   void start_async_thread();
   /// Injects every queued deferred get (skipping revoked ones).
   void flush_deferred_gets();
@@ -399,6 +408,11 @@ class Comm {
 
   // Endpoint / region resolution.
   void ensure_endpoint(RankId target, int context);
+  /// The owner's region for a range inside a live collective heap, or
+  /// nullptr when no such heap covers it (exchanged at allocation, so
+  /// the lookup sends nothing).
+  const pami::MemoryRegion* collective_region(RankId target, const std::byte* addr,
+                                              std::size_t bytes) const;
   std::optional<pami::MemoryRegion> resolve_remote_region(RankId target,
                                                           const std::byte* addr,
                                                           std::size_t bytes);
@@ -409,13 +423,19 @@ class Comm {
   std::optional<pami::MemoryRegion> resolve_local_region(const void* addr,
                                                          std::size_t bytes);
   pami::Endpoint service_endpoint(RankId target);
+  /// Sends an active message to `target`'s service context under the
+  /// context lock.
+  void send_am(RankId target, pami::DispatchId dispatch, std::vector<std::byte> header,
+               std::vector<std::byte> payload, pami::Callback on_local_done,
+               const char* what, Time deadline = 0);
 
   // Write tracking.
   /// Called (from an engine event) when a remote ack for a tracked
   /// write lands at this rank's NIC.
   void write_acked_from_wire(const ConflictTracker::Key& key);
-  void track_write(RankId target, std::uint64_t region_id,
-                   ConflictTracker::Key* key_out);
+  /// Target side of a packed write or accumulate: sends the control
+  /// ack that retires the writer's tracked write (AckClosure `cookie`).
+  void ack_write(pami::Context& ctx, const pami::AmMessage& msg, void* cookie);
   pami::Callback make_ack(const ConflictTracker::Key& key);
   void maybe_fence_before_read(RankId target, std::uint64_t region_id);
 
@@ -436,6 +456,20 @@ class Comm {
                      const StridedSpec& spec, Handle& handle);
   void strided_packed(Dir dir, std::byte* local, RemotePtr remote,
                       const StridedSpec& spec, Handle& handle);
+  /// Packed strided write (is_acc = 0) or accumulate (is_acc = 1): one
+  /// AM carrying the spec and the payload in canonical chunk order.
+  void send_strided_write(const std::byte* local, RemotePtr remote,
+                          const StridedSpec& spec, double alpha, bool is_acc,
+                          Handle& handle);
+  /// Packed vector write or accumulate: one AM carrying the remote
+  /// address list and the segments.
+  void send_vector_write(RankId target, const VectorDescriptor& desc, double alpha,
+                         bool is_acc, Handle& handle);
+
+  /// Blocking rmw body: fence-before-read, the request, the wait and
+  /// the deadline check (`what` names the op in the error).
+  std::int64_t rmw(RemotePtr word, pami::RmwOp op, std::int64_t operand,
+                   std::int64_t compare, const char* what);
 
   // AM dispatch handlers (registered on every context).
   void register_dispatch(pami::Context& ctx);

@@ -481,127 +481,105 @@ void Context::process_item(Item& item) {
 // RDMA (one-sided)
 // ---------------------------------------------------------------------------
 
+/// Trace and wire names of one RDMA shape; `typed` adds the per-chunk
+/// walk cost and the gather/scatter wire factor.
+struct Context::RdmaShape {
+  const char* start;    // initiator's 's' flow point
+  const char* request;  // rget request leg (wire label)
+  const char* target;   // rput delivery / rget service at the target
+  const char* finish;   // rput ack leg / rget data arrival
+  bool typed;
+};
+
 void Context::rput(const MemoryRegion& local_mr, std::uint64_t loff,
                    const MemoryRegion& remote_mr, std::uint64_t roff,
                    std::uint64_t bytes, Callback on_local_done,
                    Callback on_remote_ack) {
-  PGASQ_CHECK(local_mr.covers(local_mr.base + loff, bytes), << "rput source range");
-  PGASQ_CHECK(remote_mr.covers(remote_mr.base + roff, bytes), << "rput target range");
-  const auto& p = machine().params();
-  busy(p.o_send);
-  const int src_node = process_.node();
-  const int dst_node = machine().mapping().node_of_rank(remote_mr.owner);
-  const auto t = wire_transfer(src_node, dst_node, bytes, now(),
-                               noc::TransferOptions{.payload_bytes = bytes},
-                               "rput data");
-  std::uint64_t fid = 0;
-  if (trace() != nullptr) {
-    fid = trace()->next_flow_id();
-    flow('s', process_.rank(), "rput", fid, now(), bytes, remote_mr.owner);
-  }
-  // The NIC reads the source buffer during serialization; stage a copy
-  // now so the caller may reuse the buffer after local completion.
-  std::vector<std::byte> staged(bytes);
-  std::memcpy(staged.data(), local_mr.base + loff, bytes);
-  maybe_corrupt(t, staged.data(), bytes);
-  std::byte* dst = remote_mr.base + roff;
-  Process* owner = &machine().process(remote_mr.owner);
-  machine().engine().schedule_at(t.arrive, [staged = std::move(staged), dst,
-                                            owner]() mutable {
-    std::memcpy(dst, staged.data(), staged.size());
-    owner->landed(dst, staged.size());
-  });
-  if (on_local_done) {
-    post_completion_at(t.inject_done + p.o_local_drain, std::move(on_local_done),
-                       p.o_completion);
-  }
-  if (on_remote_ack) {
-    const auto ack = wire_control(dst_node, src_node, t.arrive, "rput ack");
-    flow('t', remote_mr.owner, "rput deliver", fid, t.arrive, bytes);
-    flow('f', process_.rank(), "rput ack", fid, ack.arrive);
-    post_completion_at(ack.arrive, std::move(on_remote_ack), 0);
-  } else {
-    flow('f', remote_mr.owner, "rput deliver", fid, t.arrive, bytes);
-  }
+  rput_chunks(local_mr, remote_mr, {{loff, roff, bytes}}, std::move(on_local_done),
+              std::move(on_remote_ack), "rput data",
+              {"rput", nullptr, "rput deliver", "rput ack", /*typed=*/false});
 }
 
 void Context::rget(const MemoryRegion& local_mr, std::uint64_t loff,
                    const MemoryRegion& remote_mr, std::uint64_t roff,
                    std::uint64_t bytes, Callback on_done) {
-  PGASQ_CHECK(local_mr.covers(local_mr.base + loff, bytes), << "rget local range");
-  PGASQ_CHECK(remote_mr.covers(remote_mr.base + roff, bytes), << "rget remote range");
-  const auto& p = machine().params();
-  busy(p.o_send);
-  const int src_node = process_.node();
-  const int dst_node = machine().mapping().node_of_rank(remote_mr.owner);
-  // Request descriptor travels to the target NIC...
-  const auto req = wire_control(src_node, dst_node, now(), "rget request");
-  // ...which DMAs the data back with no target software involved.
-  const auto data =
-      wire_transfer(dst_node, src_node, bytes, req.arrive,
-                    noc::TransferOptions{.payload_bytes = bytes}, "rget data");
-  if (trace() != nullptr) {
-    // Every leg is timed at initiation, so the whole arrow chain can
-    // be emitted here: request out, remote NIC serves, data back.
-    const std::uint64_t fid = trace()->next_flow_id();
-    flow('s', process_.rank(), "rget", fid, now(), bytes, remote_mr.owner);
-    flow('t', remote_mr.owner, "rget serve", fid, req.arrive);
-    flow('f', process_.rank(), "rget data", fid, data.arrive, bytes);
-  }
-  const std::byte* src = remote_mr.base + roff;
-  std::byte* dst = local_mr.base + loff;
-  auto staged = std::make_shared<std::vector<std::byte>>();
-  machine().engine().schedule_at(req.arrive, [staged, src, bytes] {
-    staged->assign(src, src + bytes);  // NIC reads target memory now
-  });
-  machine().engine().schedule_at(data.arrive, [this, staged, dst, data,
-                                               cb = std::move(on_done),
-                                               cost = p.o_completion]() mutable {
-    maybe_corrupt(data, staged->data(), staged->size());
-    std::memcpy(dst, staged->data(), staged->size());
-    if (cb) post_completion(std::move(cb), cost);
-  });
+  rget_chunks(local_mr, remote_mr, {{loff, roff, bytes}}, std::move(on_done), "rget data",
+              {"rget", "rget request", "rget serve", "rget data", /*typed=*/false});
 }
 
 void Context::rput_typed(const MemoryRegion& local_mr, const MemoryRegion& remote_mr,
                          const std::vector<TypedChunk>& chunks,
                          Callback on_local_done, Callback on_remote_ack,
                          const char* what) {
+  rput_chunks(local_mr, remote_mr, chunks, std::move(on_local_done),
+              std::move(on_remote_ack), what,
+              {"rput typed", nullptr, "rput typed deliver", "rput typed ack",
+               /*typed=*/true});
+}
+
+void Context::rget_typed(const MemoryRegion& local_mr, const MemoryRegion& remote_mr,
+                         const std::vector<TypedChunk>& chunks, Callback on_done,
+                         const char* what) {
+  rget_chunks(local_mr, remote_mr, chunks, std::move(on_done), what,
+              {"rget typed", "rget typed request", "rget typed serve", "rget typed data",
+               /*typed=*/true});
+}
+
+std::pair<std::uint64_t, std::uint64_t> Context::rdma_prologue(
+    const MemoryRegion& local_mr, const MemoryRegion& remote_mr,
+    const std::vector<TypedChunk>& chunks, const RdmaShape& shape) {
   const auto& p = machine().params();
   std::uint64_t total = 0;
   for (const auto& c : chunks) {
-    PGASQ_CHECK(local_mr.covers(local_mr.base + c.local_offset, c.bytes));
-    PGASQ_CHECK(remote_mr.covers(remote_mr.base + c.remote_offset, c.bytes));
+    PGASQ_CHECK(local_mr.covers(local_mr.base + c.local_offset, c.bytes),
+                << shape.start << " local range");
+    PGASQ_CHECK(remote_mr.covers(remote_mr.base + c.remote_offset, c.bytes),
+                << shape.start << " remote range");
     total += c.bytes;
+  }
+  if (!shape.typed) {
+    busy(p.o_send);
+    return {total, total};
   }
   // One descriptor covering the whole type map, plus a small per-chunk
   // walk cost; the wire sees a single message with a gather/scatter
   // efficiency factor.
   busy(p.o_send + static_cast<Time>(chunks.size()) * p.typed_element_cost);
+  return {total, static_cast<std::uint64_t>(static_cast<double>(total) *
+                                            p.typed_wire_factor)};
+}
+
+void Context::rput_chunks(const MemoryRegion& local_mr, const MemoryRegion& remote_mr,
+                          std::vector<TypedChunk> chunks, Callback on_local_done,
+                          Callback on_remote_ack, const char* what,
+                          const RdmaShape& shape) {
+  const auto& p = machine().params();
+  const auto [total, wire_bytes] = rdma_prologue(local_mr, remote_mr, chunks, shape);
   const int src_node = process_.node();
   const int dst_node = machine().mapping().node_of_rank(remote_mr.owner);
-  const auto wire_bytes =
-      static_cast<std::uint64_t>(static_cast<double>(total) * p.typed_wire_factor);
   const auto t = wire_transfer(src_node, dst_node, wire_bytes, now(),
                                noc::TransferOptions{.payload_bytes = total}, what);
   std::uint64_t fid = 0;
   if (trace() != nullptr) {
     fid = trace()->next_flow_id();
-    flow('s', process_.rank(), "rput typed", fid, now(), total, remote_mr.owner);
+    flow('s', process_.rank(), shape.start, fid, now(), total, remote_mr.owner);
   }
-  auto staged = std::make_shared<std::vector<std::byte>>(total);
+  // The NIC reads the source buffer during serialization; stage a copy
+  // now so the caller may reuse the buffer after local completion.
+  std::vector<std::byte> staged(total);
   std::uint64_t off = 0;
   for (const auto& c : chunks) {
-    std::memcpy(staged->data() + off, local_mr.base + c.local_offset, c.bytes);
+    std::memcpy(staged.data() + off, local_mr.base + c.local_offset, c.bytes);
     off += c.bytes;
   }
-  maybe_corrupt(t, staged->data(), total);
+  maybe_corrupt(t, staged.data(), total);
   std::byte* rbase = remote_mr.base;
   Process* owner = &machine().process(remote_mr.owner);
-  machine().engine().schedule_at(t.arrive, [staged, rbase, chunks, owner] {
+  machine().engine().schedule_at(t.arrive, [staged = std::move(staged), rbase,
+                                            chunks = std::move(chunks), owner] {
     std::uint64_t pos = 0;
     for (const auto& c : chunks) {
-      std::memcpy(rbase + c.remote_offset, staged->data() + pos, c.bytes);
+      std::memcpy(rbase + c.remote_offset, staged.data() + pos, c.bytes);
       owner->landed(rbase + c.remote_offset, c.bytes);
       pos += c.bytes;
     }
@@ -611,57 +589,60 @@ void Context::rput_typed(const MemoryRegion& local_mr, const MemoryRegion& remot
                        p.o_completion);
   }
   if (on_remote_ack) {
-    const auto ack = wire_control(dst_node, src_node, t.arrive, "rput typed ack");
-    flow('t', remote_mr.owner, "rput typed deliver", fid, t.arrive, total);
-    flow('f', process_.rank(), "rput typed ack", fid, ack.arrive);
+    const auto ack = wire_control(dst_node, src_node, t.arrive, shape.finish);
+    flow('t', remote_mr.owner, shape.target, fid, t.arrive, total);
+    flow('f', process_.rank(), shape.finish, fid, ack.arrive);
     post_completion_at(ack.arrive, std::move(on_remote_ack), 0);
   } else {
-    flow('f', remote_mr.owner, "rput typed deliver", fid, t.arrive, total);
+    flow('f', remote_mr.owner, shape.target, fid, t.arrive, total);
   }
 }
 
-void Context::rget_typed(const MemoryRegion& local_mr, const MemoryRegion& remote_mr,
-                         const std::vector<TypedChunk>& chunks, Callback on_done,
-                         const char* what) {
+void Context::rget_chunks(const MemoryRegion& local_mr, const MemoryRegion& remote_mr,
+                          std::vector<TypedChunk> chunks, Callback on_done,
+                          const char* what, const RdmaShape& shape) {
   const auto& p = machine().params();
-  std::uint64_t total = 0;
-  for (const auto& c : chunks) {
-    PGASQ_CHECK(local_mr.covers(local_mr.base + c.local_offset, c.bytes));
-    PGASQ_CHECK(remote_mr.covers(remote_mr.base + c.remote_offset, c.bytes));
-    total += c.bytes;
-  }
-  busy(p.o_send + static_cast<Time>(chunks.size()) * p.typed_element_cost);
+  const auto [total, wire_bytes] = rdma_prologue(local_mr, remote_mr, chunks, shape);
   const int src_node = process_.node();
   const int dst_node = machine().mapping().node_of_rank(remote_mr.owner);
-  const auto req = wire_control(src_node, dst_node, now(), "rget typed request");
-  const auto wire_bytes =
-      static_cast<std::uint64_t>(static_cast<double>(total) * p.typed_wire_factor);
+  // Request descriptor travels to the target NIC...
+  const auto req = wire_control(src_node, dst_node, now(), shape.request);
+  // ...which DMAs the data back with no target software involved.
   const auto data =
       wire_transfer(dst_node, src_node, wire_bytes, req.arrive,
                     noc::TransferOptions{.payload_bytes = total}, what);
   if (trace() != nullptr) {
+    // Every leg is timed at initiation, so the whole arrow chain can
+    // be emitted here: request out, remote NIC serves, data back.
     const std::uint64_t fid = trace()->next_flow_id();
-    flow('s', process_.rank(), "rget typed", fid, now(), total, remote_mr.owner);
-    flow('t', remote_mr.owner, "rget typed serve", fid, req.arrive);
-    flow('f', process_.rank(), "rget typed data", fid, data.arrive, total);
+    flow('s', process_.rank(), shape.start, fid, now(), total, remote_mr.owner);
+    flow('t', remote_mr.owner, shape.target, fid, req.arrive);
+    flow('f', process_.rank(), shape.finish, fid, data.arrive, total);
   }
-  auto staged = std::make_shared<std::vector<std::byte>>(total);
+  // The chunk list and the staged bytes travel together from the read
+  // at the target NIC to the landing here.
+  struct Staging {
+    std::vector<TypedChunk> chunks;
+    std::vector<std::byte> bytes;
+  };
+  auto staged = std::make_shared<Staging>(
+      Staging{std::move(chunks), std::vector<std::byte>(total)});
   const std::byte* rbase = remote_mr.base;
-  machine().engine().schedule_at(req.arrive, [staged, rbase, chunks] {
-    std::uint64_t pos = 0;
-    for (const auto& c : chunks) {
-      std::memcpy(staged->data() + pos, rbase + c.remote_offset, c.bytes);
+  machine().engine().schedule_at(req.arrive, [staged, rbase] {
+    std::uint64_t pos = 0;  // the NIC reads target memory now
+    for (const auto& c : staged->chunks) {
+      std::memcpy(staged->bytes.data() + pos, rbase + c.remote_offset, c.bytes);
       pos += c.bytes;
     }
   });
   std::byte* lbase = local_mr.base;
-  machine().engine().schedule_at(data.arrive, [this, staged, lbase, chunks, data,
+  machine().engine().schedule_at(data.arrive, [this, staged, lbase, data,
                                                cb = std::move(on_done),
                                                cost = p.o_completion]() mutable {
-    maybe_corrupt(data, staged->data(), staged->size());
+    maybe_corrupt(data, staged->bytes.data(), staged->bytes.size());
     std::uint64_t pos = 0;
-    for (const auto& c : chunks) {
-      std::memcpy(lbase + c.local_offset, staged->data() + pos, c.bytes);
+    for (const auto& c : staged->chunks) {
+      std::memcpy(lbase + c.local_offset, staged->bytes.data() + pos, c.bytes);
       pos += c.bytes;
     }
     if (cb) post_completion(std::move(cb), cost);

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "noc/network.hpp"
@@ -211,6 +212,7 @@ class Context {
   void maybe_corrupt(const noc::Transfer& t, std::byte* data, std::uint64_t bytes);
 
  private:
+  struct RdmaShape;
   struct Item {
     enum class Kind { kCompletion, kAm, kRmwService, kGetRequest, kPutData };
     Kind kind;
@@ -246,6 +248,20 @@ class Context {
     /// request was shed server-side (deadline expired).
     Callback on_expired;
   };
+
+  // The RDMA bodies: rput/rget are the one-chunk, untyped case of
+  // rput_typed/rget_typed. `what` labels the data leg.
+  /// Checks every chunk, charges the initiation cost; returns the
+  /// payload and wire byte counts.
+  std::pair<std::uint64_t, std::uint64_t> rdma_prologue(
+      const MemoryRegion& local_mr, const MemoryRegion& remote_mr,
+      const std::vector<TypedChunk>& chunks, const RdmaShape& shape);
+  void rput_chunks(const MemoryRegion& local_mr, const MemoryRegion& remote_mr,
+                   std::vector<TypedChunk> chunks, Callback on_local_done,
+                   Callback on_remote_ack, const char* what, const RdmaShape& shape);
+  void rget_chunks(const MemoryRegion& local_mr, const MemoryRegion& remote_mr,
+                   std::vector<TypedChunk> chunks, Callback on_done, const char* what,
+                   const RdmaShape& shape);
 
   void process_item(Item& item);
   void post(Item item);

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/comm.hpp"
@@ -118,13 +120,16 @@ TEST(Flow, CreditWindowBackpressuresAtPrimeRanks) {
 // dequeues it is shed before servicing; the blocking client call
 // throws flow::DeadlineError, which IS-A FaultError so existing
 // guarded recovery paths catch it without new plumbing. Clearing the
-// deadline restores normal service on the same comm.
+// deadline restores normal service on the same comm. Every rmw and
+// the fall-back (target-serviced) get obey the same rule.
 TEST(Flow, DeadlineShedsServerSideWithTypedError) {
   WorldConfig cfg = world_of(2);
   cfg.machine.flow.configured = true;
   cfg.machine.flow.deadline_us = 1000.0;
   World world(cfg);
   std::vector<char> typed(2, 0), as_fault(2, 0);
+  // Host memory no rank registered: a get from it takes the fall-back.
+  std::vector<double> unregistered(1, 42.0);
   world.spmd([&](Comm& comm) {
     auto& mem = comm.malloc_collective(64);
     comm.barrier();
@@ -145,13 +150,33 @@ TEST(Flow, DeadlineShedsServerSideWithTypedError) {
       comm.set_op_deadline(0);
       EXPECT_EQ(comm.fetch_add(mem.at(1), 5), 0);  // service restored
       EXPECT_EQ(comm.fetch_add(mem.at(1), 0), 5);
+
+      const RemotePtr fallback{1, reinterpret_cast<std::byte*>(unregistered.data())};
+      double got = 0.0;
+      const std::vector<std::pair<const char*, std::function<void()>>> ops = {
+          {"swap", [&] { comm.swap(mem.at(1), 7); }},
+          {"compare_swap", [&] { comm.compare_swap(mem.at(1), 7, 9); }},
+          {"get", [&] { comm.get(fallback, &got, sizeof(double)); }},
+      };
+      for (const auto& [what, op] : ops) {
+        comm.set_op_deadline(Time{1});
+        EXPECT_THROW(op(), flow::DeadlineError) << what;
+      }
+      comm.set_op_deadline(0);
+      EXPECT_EQ(comm.swap(mem.at(1), 7), 5);
+      EXPECT_EQ(comm.compare_swap(mem.at(1), 7, 9), 7);
+      EXPECT_EQ(comm.fetch_add(mem.at(1), 0), 9);
+      const std::uint64_t fallback_gets = comm.stats().fallback_gets;
+      comm.get(fallback, &got, sizeof(double));
+      EXPECT_DOUBLE_EQ(got, 42.0);
+      EXPECT_EQ(comm.stats().fallback_gets, fallback_gets + 1);
     }
     comm.barrier();
   });
   EXPECT_EQ(typed[0], 1);
   EXPECT_EQ(as_fault[0], 1);
   ASSERT_NE(world.machine().flow(), nullptr);
-  EXPECT_GE(world.machine().flow()->stats().expired_server, 2u);
+  EXPECT_GE(world.machine().flow()->stats().expired_server, 5u);
 }
 
 // Zero-cost-off: a run with flow.* keys present but no hook enabled

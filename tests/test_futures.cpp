@@ -422,6 +422,24 @@ TEST(Fut, RevokedGetCancelsBeforeInjection) {
     // completion.
     EXPECT_FALSE(comm.revoke_get(g.op));
     comm.barrier();
+
+    // A deferred get that is only ever polled must still be injected
+    // and complete: test() and test_all() make a full progress pass.
+    const armci::RemotePtr peer = mem.at((comm.rank() + 1) % comm.nprocs());
+    const double want = 5.0 + (comm.rank() + 1) % comm.nprocs();
+    double polled = -1.0, polled_all = -1.0;
+    auto d = comm.nb_get_deferred(peer, &polled, sizeof(double));
+    for (int pass = 0; pass < 10000 && !comm.test(d->handle); ++pass) {
+    }
+    EXPECT_TRUE(d->injected);
+    EXPECT_DOUBLE_EQ(polled, want);
+    auto d_all = comm.nb_get_deferred(peer, &polled_all, sizeof(double));
+    const std::vector<armci::Handle*> all{&d_all->handle};
+    for (int pass = 0; pass < 10000 && !comm.test_all(all); ++pass) {
+    }
+    EXPECT_TRUE(d_all->injected);
+    EXPECT_DOUBLE_EQ(polled_all, want);
+    comm.barrier();
   });
   // The JSON report carries the revokes, summed over ranks.
   std::uint64_t revoked = 0;

@@ -246,6 +246,7 @@ typo_gate() {
   expect_typo "${repo}/${dir}/bench/bench_fig3_latency" --rnaks=4
   # A sweep bench: must fail before its first World, not after the sweep.
   expect_typo timeout 10 "${repo}/${dir}/bench/bench_abl_collectives" --rnaks=4
+  expect_typo timeout 10 "${repo}/${dir}/bench/bench_fig9_rmw" --max_rank=16
   expect_typo "${repo}/${dir}/examples/scf_walkthrough" --ranks=8 --overlp=1
 }
 
